@@ -18,16 +18,13 @@ use vela_obs::{Counter, FlowPhase, LazyCounter};
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
-use crate::message::{GroupItem, GroupPass, Message, PackedData, PackedGroup, Payload};
-use crate::pipeline::{AutoTuner, ChunkPlan, ExchangeTimer};
+use crate::message::{GroupPass, Message, PackedData, PackedGroup};
+use crate::pipeline::{ChunkPlan, ExchangeTimer};
 use crate::pipeline::{
     COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, MIGRATION_FLUSH_US,
-    MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_INFLIGHT, SPAN_MIGRATION_PUMP, SPAN_SERIALIZE, STALLS,
-    STALL_US,
+    MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_INFLIGHT, SPAN_MIGRATION_PUMP, SPAN_SERIALIZE,
 };
-use crate::transport::{
-    ExchangeConfig, MasterHub, Microbatch, TransportError, WireFormat, WireStats,
-};
+use crate::transport::{ExchangeConfig, MasterHub, TransportError, WireStats};
 
 /// Aggregate dispatch/gather telemetry across all phases and engines.
 static PHASE_BYTES_OUT: LazyCounter = LazyCounter::new("runtime.phase.bytes_out");
@@ -79,14 +76,15 @@ pub(crate) fn group_pass(pass: Pass) -> GroupPass {
 /// Correlation key tying this master-side dispatch (and its reply) to the
 /// worker's serve span. Both sides derive the step component from their
 /// own [`vela_obs::current_step`], which agree because `StepBegin` frames
-/// precede dispatches on every per-link FIFO.
-pub(crate) fn exchange_corr(w: usize, block: usize, pass: Pass, chunk: usize) -> u64 {
+/// precede dispatches on every per-link FIFO. The key layout keeps its
+/// chunk field; with one frame per worker per block-pass it is always 0.
+pub(crate) fn exchange_corr(w: usize, block: usize, pass: Pass) -> u64 {
     vela_obs::corr::pack(
         vela_obs::current_step(),
         w as u64,
         block as u64,
         matches!(pass, Pass::Backward) as u64,
-        chunk as u64,
+        0,
     )
 }
 
@@ -399,44 +397,19 @@ fn sync_targets(
 /// The replica gradient-sync round shared by the real and virtual
 /// engines: for each sync target (replicated pairs plus migration
 /// lanes), fetch the serving worker's gradients and install them into
-/// every peer, frame by frame over the accounted hub. See
-/// [`BrokerClient::sync_replica_grads`] for the protocol contract.
-///
-/// With `overlap` off the protocol is strictly sequential round-trips —
-/// the seed behavior, byte- and flow-identical. With `overlap` on, every
-/// `FetchGrads` is issued up front and gradient states are forwarded to
-/// peers as they arrive, so per-target round-trips ride the wire
-/// concurrently. Workers only *apply* synced gradients on `StepEnd`
-/// either way, so the result is bitwise identical; the returned flow
-/// list is emitted in canonical per-target order regardless of arrival
-/// order, keeping the modeled sync time deterministic.
+/// every peer, one sequential round-trip per frame over the accounted
+/// hub. See [`BrokerClient::sync_replica_grads`] for the protocol
+/// contract. Returns the `(worker, accounted bytes)` flows in protocol
+/// order.
 pub(crate) fn sync_grads_over(
     hub: &mut MasterHub,
     placement: &ReplicatedPlacement,
     routes: &HashMap<(usize, usize), usize>,
     grad_bytes: u32,
-    overlap: bool,
-    st: &mut MigrationState,
-) -> Result<Vec<(usize, u64)>, TransportError> {
-    let targets = sync_targets(placement, routes, st);
-    if targets.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !overlap {
-        return sync_sequential(hub, &targets, grad_bytes, st);
-    }
-    sync_overlapped(hub, &targets, grad_bytes, st)
-}
-
-/// Sequential per-target round-trips (the seed protocol).
-fn sync_sequential(
-    hub: &mut MasterHub,
-    targets: &[SyncTarget],
-    grad_bytes: u32,
     st: &mut MigrationState,
 ) -> Result<Vec<(usize, u64)>, TransportError> {
     let mut flows = Vec::new();
-    for t in targets {
+    for t in sync_targets(placement, routes, st) {
         let (block, expert, serving) = (t.block, t.expert, t.serving);
         let req = Message::FetchGrads {
             block: block as u32,
@@ -498,102 +471,6 @@ fn sync_sequential(
     Ok(flows)
 }
 
-/// All fetches issued up front; states forwarded to peers on arrival;
-/// acks collected last. Flow accounting is slotted per target so the
-/// returned list is identical to the sequential protocol's no matter
-/// how replies interleave.
-fn sync_overlapped(
-    hub: &mut MasterHub,
-    targets: &[SyncTarget],
-    grad_bytes: u32,
-    st: &mut MigrationState,
-) -> Result<Vec<(usize, u64)>, TransportError> {
-    let mut slots: Vec<Vec<(usize, u64)>> = Vec::with_capacity(targets.len());
-    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-    for (i, t) in targets.iter().enumerate() {
-        index.insert((t.block, t.expert), i);
-        let req = Message::FetchGrads {
-            block: t.block as u32,
-            expert: t.expert as u32,
-            grad_bytes,
-        };
-        slots.push(vec![(t.serving, req.accounted_bytes())]);
-        hub.send(t.serving, &req)?;
-    }
-    let mut states_left = targets.len();
-    // Acks still owed, tracked per target by peer index so duplicates
-    // and strangers are protocol errors, not miscounts.
-    let mut acks_owed: Vec<Vec<usize>> = targets.iter().map(|t| t.peers.clone()).collect();
-    let mut total_acks: usize = acks_owed.iter().map(Vec::len).sum();
-    while states_left > 0 || total_acks > 0 {
-        let (w, msg) = recv_routed(hub, st)?;
-        let bytes = msg.accounted_bytes();
-        match msg {
-            Message::GradState {
-                block,
-                expert,
-                payload,
-            } => {
-                let key = (block as usize, expert as usize);
-                let &i = index.get(&key).ok_or_else(|| {
-                    TransportError::Protocol(format!(
-                        "grad state for unsynced expert ({block},{expert})"
-                    ))
-                })?;
-                let t = &targets[i];
-                if w != t.serving {
-                    return Err(TransportError::Protocol(format!(
-                        "grad state arrived from worker {w}, expected {}",
-                        t.serving
-                    )));
-                }
-                if slots[i].len() > 1 {
-                    return Err(TransportError::Protocol(format!(
-                        "duplicate grad state for expert ({block},{expert})"
-                    )));
-                }
-                slots[i].push((w, bytes));
-                for &p in &t.peers {
-                    let install = Message::GradState {
-                        block,
-                        expert,
-                        payload: payload.clone(),
-                    };
-                    slots[i].push((p, install.accounted_bytes()));
-                    hub.send(p, &install)?;
-                    // The fixed-size ack is appended now so the flow
-                    // list comes out in canonical per-target order.
-                    let ack = Message::GradSyncDone { block, expert };
-                    slots[i].push((p, ack.accounted_bytes()));
-                }
-                states_left -= 1;
-            }
-            Message::GradSyncDone { block, expert } => {
-                let key = (block as usize, expert as usize);
-                let &i = index.get(&key).ok_or_else(|| {
-                    TransportError::Protocol(format!(
-                        "grad sync ack for unsynced expert ({block},{expert})"
-                    ))
-                })?;
-                let Some(pos) = acks_owed[i].iter().position(|&p| p == w) else {
-                    return Err(TransportError::Protocol(format!(
-                        "unexpected grad sync ack from worker {w} for expert \
-                         ({block},{expert})"
-                    )));
-                };
-                acks_owed[i].swap_remove(pos);
-                total_acks -= 1;
-            }
-            other => {
-                return Err(TransportError::Protocol(format!(
-                    "unexpected frame during grad sync: {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(slots.concat())
-}
-
 /// Emits per-worker `(expert, rows)` trace events for a routed exchange —
 /// the raw data `trace_summary`'s replication section aggregates into
 /// per-replica token shares. Only emitted for placements with actual
@@ -650,7 +527,6 @@ pub struct BrokerClient {
     step: u64,
     exchange_cfg: ExchangeConfig,
     plan: ChunkPlan,
-    tuner: AutoTuner,
     /// Background migration lanes (overlap mode); empty in sync mode.
     migrations: MigrationState,
 }
@@ -678,7 +554,6 @@ impl BrokerClient {
             step: 0,
             exchange_cfg: ExchangeConfig::from_env(),
             plan: ChunkPlan::default(),
-            tuner: AutoTuner::default(),
             migrations: MigrationState::default(),
         }
     }
@@ -688,14 +563,13 @@ impl BrokerClient {
         &self.placement
     }
 
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at construction. Any shape yields bitwise-
-    /// identical results; this knob trades frames for pipeline overlap.
+    /// Overrides the exchange options (int8 rows, migration mode) chosen
+    /// from the environment at construction.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
         self.exchange_cfg = cfg;
     }
 
-    /// The exchange shape in force.
+    /// The exchange options in force.
     pub fn exchange_config(&self) -> ExchangeConfig {
         self.exchange_cfg
     }
@@ -707,9 +581,9 @@ impl BrokerClient {
 
     /// Actual encoded wire bytes shipped/received so far, split per frame
     /// kind into header vs payload. Distinct from the phase-log ledgers,
-    /// which account a wire-format-independent cost by construction; these
-    /// are the bytes the chosen `VELA_WIRE`/`VELA_QUANT` encoding really
-    /// put on the wire.
+    /// which account the per-batch byte sum by construction; these are the
+    /// bytes the packed encoding (int8 under `VELA_QUANT`) really put on
+    /// the wire.
     pub fn wire_stats(&self) -> WireStats {
         self.hub.wire_stats()
     }
@@ -1141,30 +1015,20 @@ impl BrokerClient {
             &self.placement,
             &self.routes,
             grad_bytes,
-            self.exchange_cfg.sync_overlap,
             &mut self.migrations,
         )
     }
 
-    /// Dispatch + gather for one block and pass: the chunked, coalescing
-    /// ring exchange.
+    /// Dispatch + gather for one block and pass: the packed exchange.
     ///
-    /// Each worker's batches are split into up to
-    /// [`ExchangeConfig::microbatch`] contiguous chunks (the
-    /// [`ChunkPlan`]), so chunking composes with coalescing: tick *c*
-    /// ships one [`Message::DispatchGroup`] per worker carrying that
-    /// worker's chunk *c*. Up to [`ExchangeConfig::depth`] ticks ride the
-    /// wire at once; before shipping tick *c* the master drains all reply
-    /// frames owed through tick `c − depth`, so serialize/send/compute/
-    /// recv overlap (the transports' writer seam keeps sends from blocking
-    /// on unread replies).
-    ///
-    /// Replies may interleave arbitrarily across workers and chunks — each
-    /// carries its chunk id, is slotted by batch index, and `sink` is
-    /// called with the completed *ascending-prefix* of batch indices as
-    /// soon as it exists. Delivery order is therefore identical to the
-    /// unpipelined exchange no matter how frames arrive, which is what
-    /// keeps every {shape × transport × depth} combination bit-identical.
+    /// Each worker with routed batches receives exactly one
+    /// [`Message::PackedDispatch`] carrying all of them (the
+    /// [`ChunkPlan`]); the master serializes every frame, then drains one
+    /// [`Message::PackedResult`] per frame. Replies may arrive in any
+    /// worker order — each is slotted by batch index, and `sink` is called
+    /// with the completed *ascending prefix* of batch indices as soon as
+    /// it exists. Delivery order is therefore fixed no matter how frames
+    /// arrive, which keeps every transport bitwise identical.
     fn exchange(
         &mut self,
         block: usize,
@@ -1184,103 +1048,48 @@ impl BrokerClient {
             bytes_back: vec![0; workers],
             rows: vec![0; workers],
         };
-        let cfg = self.exchange_cfg;
         let backward = matches!(pass, Pass::Backward);
-        let (chunks, probe) = match cfg.microbatch {
-            Microbatch::Fixed(n) => (n, false),
-            Microbatch::Auto => self.tuner.plan(block, backward),
-        };
         let loads: Vec<(usize, u64)> = batches
             .iter()
             .map(|b| (b.expert, b.xs.rows() as u64))
             .collect();
         let routes = route_experts(&self.placement, &mut self.routes, block, backward, &loads);
-        self.plan.build(workers, chunks, routes.iter().copied());
-        let ticks = self.plan.ticks();
-        let depth = cfg.depth.max(1);
-        let mut timer = ExchangeTimer::new(probe || vela_obs::enabled());
+        self.plan.build(workers, routes.iter().copied());
+        let mut timer = ExchangeTimer::new(vela_obs::enabled());
 
+        let sent = {
+            let _g = vela_obs::span(SPAN_SERIALIZE);
+            let t0 = timer.mark();
+            let sent = send_frames(
+                &mut self.hub,
+                &self.plan,
+                self.exchange_cfg.quantized(),
+                block,
+                pass,
+                batches,
+                &mut log,
+            )?;
+            timer.sent(t0);
+            sent
+        };
         // Replies slotted by batch index; `next_emit` is the ascending
         // prefix already handed to the sink.
         let mut pending: Vec<Option<Tensor>> = Vec::with_capacity(batches.len());
         pending.resize_with(batches.len(), || None);
         let mut next_emit = 0usize;
-        // Per-batch replies (coalesce off) carry no chunk id; key them by
-        // expert instead.
-        let mut expert_index: HashMap<usize, usize> = HashMap::new();
-        if !cfg.coalesce {
-            expert_index.extend(batches.iter().enumerate().map(|(i, b)| (b.expert, i)));
-        }
-
-        let mut owed_after: Vec<usize> = Vec::with_capacity(ticks);
-        let mut sent = 0usize; // wire frames dispatched so far
-        let mut received = 0usize; // reply frames drained so far
-        for tick in 0..ticks {
-            if tick >= depth {
-                // Ring full: drain everything owed through tick − depth
-                // before shipping more.
-                let owed = owed_after[tick - depth];
-                let stall_t0 = if received < owed {
-                    STALLS.add(1);
-                    vela_obs::enabled().then(vela_obs::now_us)
-                } else {
-                    None
-                };
-                while received < owed {
-                    received += drain_one(
-                        &mut self.hub,
-                        &mut self.migrations,
-                        &self.plan,
-                        &expert_index,
-                        block,
-                        pass,
-                        batches,
-                        &mut log,
-                        &mut timer,
-                        next_emit,
-                        &mut pending,
-                    )?;
-                    timer.drained(received);
-                    flush_prefix(&mut pending, &mut next_emit, sink);
-                }
-                if let Some(t0) = stall_t0 {
-                    STALL_US.add(vela_obs::now_us().saturating_sub(t0));
-                }
-            }
-            {
-                let _g = vela_obs::span(SPAN_SERIALIZE);
-                let t0 = timer.mark();
-                sent += send_tick(
-                    &mut self.hub,
-                    &self.placement,
-                    &self.plan,
-                    cfg,
-                    block,
-                    pass,
-                    tick,
-                    batches,
-                    &mut log,
-                )?;
-                timer.add_serialize(t0);
-            }
-            timer.tick_sent(sent);
-            owed_after.push(sent);
-        }
-        while received < sent {
-            received += drain_one(
+        for _ in 0..sent {
+            drain_one(
                 &mut self.hub,
                 &mut self.migrations,
                 &self.plan,
-                &expert_index,
                 block,
                 pass,
                 batches,
                 &mut log,
-                &mut timer,
                 next_emit,
                 &mut pending,
             )?;
-            timer.drained(received);
+            timer.drained();
             flush_prefix(&mut pending, &mut next_emit, sink);
         }
         if next_emit != batches.len() {
@@ -1291,11 +1100,7 @@ impl BrokerClient {
                 batches.len()
             )));
         }
-        if let Some((serialize_us, wait_us)) = timer.finish() {
-            if probe {
-                self.tuner.record(block, backward, serialize_us, wait_us);
-            }
-        }
+        timer.finish();
 
         if vela_obs::enabled() {
             let rows: Vec<(usize, usize)> =
@@ -1311,7 +1116,7 @@ impl BrokerClient {
 }
 
 /// Hands the sink every completed batch in ascending index order. The
-/// prefix gate is the determinism lever: a chunk that arrives early waits
+/// prefix gate is the determinism lever: a reply that arrives early waits
 /// in `pending` until everything before it has been delivered.
 fn flush_prefix(
     pending: &mut [Option<Tensor>],
@@ -1337,285 +1142,123 @@ fn flush_prefix(
     }
 }
 
-/// Ships ring tick `tick`: one coalesced group per worker with items in
-/// that chunk (or per-batch frames with coalescing off). Under
-/// `VELA_WIRE=packed` the coalesced frame is column-packed — a span table
-/// plus one contiguous row region, int8-encoded when quantization is on —
-/// instead of a list of header-laden per-item payloads. Returns the wire
-/// frames sent.
-#[allow(clippy::too_many_arguments)]
-fn send_tick(
+/// Ships one column-packed frame — a span table plus one contiguous row
+/// region, int8-encoded when `quantize` is on — to every worker with
+/// routed batches. Returns the frames sent.
+fn send_frames(
     hub: &mut MasterHub,
-    placement: &ReplicatedPlacement,
     plan: &ChunkPlan,
-    cfg: ExchangeConfig,
+    quantize: bool,
     block: usize,
     pass: Pass,
-    tick: usize,
     batches: &[ExpertBatch],
     log: &mut PhaseLog,
 ) -> Result<usize, TransportError> {
     let mut frames = 0usize;
     for w in 0..hub.worker_count() {
-        let items = plan.chunk_items(w, tick);
-        if items.is_empty() {
+        let items = plan.items(w);
+        let Some(&first) = items.first() else {
             continue;
+        };
+        for &i in items {
+            log.rows[w] += batches[i].xs.rows() as u64;
         }
-        if cfg.coalesce && cfg.wire == WireFormat::Packed {
-            let width = batches[items[0]].xs.cols() as u32;
-            for &i in items {
-                log.rows[w] += batches[i].xs.rows() as u64;
-            }
-            let msg = Message::PackedDispatch(PackedGroup::pack(
-                block as u32,
-                group_pass(pass),
-                tick as u32,
-                width,
-                cfg.quantized(),
-                items
-                    .iter()
-                    .map(|&i| (batches[i].expert as u32, batches[i].xs.as_slice())),
-            ));
-            log.bytes_out[w] += msg.accounted_bytes();
-            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-            hub.send(w, &msg)?;
-            frames += 1;
-        } else if cfg.coalesce {
-            let items: Vec<GroupItem> = items
+        let msg = Message::PackedDispatch(PackedGroup::pack(
+            block as u32,
+            group_pass(pass),
+            batches[first].xs.cols() as u32,
+            quantize,
+            items
                 .iter()
-                .map(|&i| {
-                    let batch = &batches[i];
-                    log.rows[w] += batch.xs.rows() as u64;
-                    GroupItem {
-                        expert: batch.expert as u32,
-                        payload: Payload::from_tensor(&batch.xs),
-                    }
-                })
-                .collect();
-            let msg = Message::DispatchGroup {
-                block: block as u32,
-                pass: group_pass(pass),
-                chunk: tick as u32,
-                items,
-            };
-            log.bytes_out[w] += msg.accounted_bytes();
-            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-            hub.send(w, &msg)?;
-            frames += 1;
-        } else {
-            for &i in items {
-                let batch = &batches[i];
-                debug_assert!(
-                    placement.replicas_of(block, batch.expert).contains(&w),
-                    "batch for expert ({block}, {}) routed to non-replica worker {w}",
-                    batch.expert
-                );
-                let payload = Payload::from_tensor(&batch.xs);
-                let (b, e) = (block as u32, batch.expert as u32);
-                let msg = match pass {
-                    Pass::Forward => Message::TokenBatch {
-                        block: b,
-                        expert: e,
-                        payload,
-                    },
-                    Pass::Backward => Message::GradBatch {
-                        block: b,
-                        expert: e,
-                        payload,
-                    },
-                };
-                log.bytes_out[w] += msg.accounted_bytes();
-                log.rows[w] += batch.xs.rows() as u64;
-                hub.send(w, &msg)?;
-                frames += 1;
-            }
-        }
+                .map(|&i| (batches[i].expert as u32, batches[i].xs.as_slice())),
+        ));
+        log.bytes_out[w] += msg.accounted_bytes();
+        vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass));
+        hub.send(w, &msg)?;
+        frames += 1;
     }
     Ok(frames)
 }
 
-/// Drains one reply frame into `pending`, validating it against the plan;
-/// returns 1 (frames drained) on success. Wrong kinds, blocks, passes,
-/// chunks or duplicate batches are protocol errors, not panics.
+/// Drains one reply frame into `pending`, validating it against the plan.
+/// Wrong kinds, blocks, passes, shapes or duplicate replies are protocol
+/// errors, not panics.
 #[allow(clippy::too_many_arguments)]
 fn drain_one(
     hub: &mut MasterHub,
     migrations: &mut MigrationState,
     plan: &ChunkPlan,
-    expert_index: &HashMap<usize, usize>,
     block: usize,
     pass: Pass,
     batches: &[ExpertBatch],
     log: &mut PhaseLog,
-    timer: &mut ExchangeTimer,
     next_emit: usize,
     pending: &mut [Option<Tensor>],
-) -> Result<usize, TransportError> {
+) -> Result<(), TransportError> {
     let (w, msg) = {
         let _g = vela_obs::span(SPAN_INFLIGHT);
-        let t0 = timer.mark();
-        let r = recv_routed(hub, migrations)?;
-        timer.add_wait(t0);
-        r
+        recv_routed(hub, migrations)?
     };
     log.bytes_back[w] += msg.accounted_bytes();
-    // Packed replies carry no per-item expert ids — item identity is
-    // positional against the dispatch layout — so the expert check only
-    // applies to reply kinds that name their expert on the wire.
-    let mut slot =
-        |index: usize, expert: Option<usize>, tensor: Tensor| -> Result<(), TransportError> {
-            if let Some(expert) = expert {
-                if batches[index].expert != expert {
-                    return Err(TransportError::Protocol(format!(
-                        "worker {w} answered batch {index} with expert {expert}, \
-                     expected {}",
-                        batches[index].expert
-                    )));
-                }
-            }
-            if index < next_emit || pending[index].is_some() {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} sent a duplicate {} reply for batch {index} of block {block}",
-                    pass_name(pass)
-                )));
-            }
-            pending[index] = Some(tensor);
-            Ok(())
-        };
-    match (pass, msg) {
-        (
-            Pass::Forward,
-            Message::ExpertResult {
-                block: rb,
-                expert,
-                payload,
-            },
-        )
-        | (
-            Pass::Backward,
-            Message::GradResult {
-                block: rb,
-                expert,
-                payload,
-            },
-        ) => {
-            check_reply_block(block, rb, pass)?;
-            let index = *expert_index.get(&(expert as usize)).ok_or_else(|| {
-                TransportError::Protocol(format!(
-                    "{} reply for undispatched expert ({block},{expert})",
-                    pass_name(pass)
-                ))
-            })?;
-            slot(index, Some(expert as usize), real_tensor(payload, pass)?)?;
-        }
-        (
-            _,
-            Message::ResultGroup {
-                block: rb,
-                pass: rp,
-                chunk,
-                items,
-            },
-        ) => {
-            check_reply_block(block, rb, pass)?;
-            if rp != group_pass(pass) {
-                return Err(TransportError::Protocol(format!(
-                    "{rp:?} result group during a {} exchange",
-                    pass_name(pass)
-                )));
-            }
-            let indices = plan.chunk_items(w, chunk as usize);
-            if indices.len() != items.len() {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} answered chunk {chunk} with {} items, \
-                     dispatch had {}",
-                    items.len(),
-                    indices.len()
-                )));
-            }
-            for (&index, item) in indices.iter().zip(items) {
-                slot(
-                    index,
-                    Some(item.expert as usize),
-                    real_tensor(item.payload, pass)?,
-                )?;
-            }
-            vela_obs::flow(
-                FlowPhase::Finish,
-                exchange_corr(w, block, pass, chunk as usize),
-            );
-        }
-        (_, Message::PackedResult(reply)) => {
-            check_reply_block(block, reply.block, pass)?;
-            if reply.pass != group_pass(pass) {
-                return Err(TransportError::Protocol(format!(
-                    "{:?} packed result during a {} exchange",
-                    reply.pass,
-                    pass_name(pass)
-                )));
-            }
-            if matches!(reply.data, PackedData::Virtual) {
-                return Err(TransportError::Protocol(format!(
-                    "virtual packed reply in a real {} exchange",
-                    pass_name(pass)
-                )));
-            }
-            let chunk = reply.chunk as usize;
-            let indices = plan.chunk_items(w, chunk);
-            let width = reply.width as usize;
-            let total: usize = indices.iter().map(|&i| batches[i].xs.rows()).sum();
-            if indices.len() != reply.items as usize
-                || reply.rows as usize != total
-                || indices.iter().any(|&i| batches[i].xs.cols() != width)
-            {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} answered chunk {chunk} with {} items × {} rows of \
-                     width {width}, dispatch had {} items × {total} rows",
-                    reply.items,
-                    reply.rows,
-                    indices.len()
-                )));
-            }
-            // The reply region's layout is implied by the dispatch plan:
-            // re-slice it per batch in dispatch order, dequantizing int8
-            // rows on the way in.
-            for (index, lo, rows) in plan.chunk_regions(w, chunk, |i| batches[i].xs.rows()) {
-                let mut vals = Vec::with_capacity(rows * width);
-                reply.data.unpack_rows(width, lo, lo + rows, &mut vals);
-                slot(index, None, Tensor::from_vec((rows, width), vals))?;
-            }
-            vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass, chunk));
-        }
-        (_, other) => {
-            return Err(TransportError::Protocol(format!(
-                "unexpected reply during {} exchange: {other:?}",
-                pass_name(pass)
-            )))
-        }
-    }
-    Ok(1)
-}
-
-fn check_reply_block(block: usize, got: u32, pass: Pass) -> Result<(), TransportError> {
-    if got as usize != block {
+    let Message::PackedResult(reply) = msg else {
         return Err(TransportError::Protocol(format!(
-            "{} reply for block {got}, expected {block}",
+            "unexpected reply during {} exchange: {msg:?}",
+            pass_name(pass)
+        )));
+    };
+    if reply.block as usize != block {
+        return Err(TransportError::Protocol(format!(
+            "{} reply for block {}, expected {block}",
+            pass_name(pass),
+            reply.block
+        )));
+    }
+    if reply.pass != group_pass(pass) {
+        return Err(TransportError::Protocol(format!(
+            "{:?} packed result during a {} exchange",
+            reply.pass,
             pass_name(pass)
         )));
     }
-    Ok(())
-}
-
-/// A data-plane reply must carry real features; a virtual payload here
-/// means the peer is running a different engine.
-fn real_tensor(payload: Payload, pass: Pass) -> Result<Tensor, TransportError> {
-    match payload {
-        Payload::Real { .. } => Ok(payload.to_tensor()),
-        Payload::Virtual { .. } => Err(TransportError::Protocol(format!(
-            "virtual payload in a real {} exchange",
+    if matches!(reply.data, PackedData::Virtual) {
+        return Err(TransportError::Protocol(format!(
+            "virtual packed reply in a real {} exchange",
             pass_name(pass)
-        ))),
+        )));
     }
+    let indices = plan.items(w);
+    let width = reply.width as usize;
+    let total: usize = indices.iter().map(|&i| batches[i].xs.rows()).sum();
+    if indices.len() != reply.items as usize
+        || reply.rows as usize != total
+        || indices.iter().any(|&i| batches[i].xs.cols() != width)
+    {
+        return Err(TransportError::Protocol(format!(
+            "worker {w} answered with {} items × {} rows of width {width}, \
+             dispatch had {} items × {total} rows",
+            reply.items,
+            reply.rows,
+            indices.len()
+        )));
+    }
+    if indices
+        .iter()
+        .any(|&i| i < next_emit || pending[i].is_some())
+    {
+        return Err(TransportError::Protocol(format!(
+            "worker {w} sent a duplicate {} reply for block {block}",
+            pass_name(pass)
+        )));
+    }
+    // The reply region's layout is implied by the dispatch plan: re-slice
+    // it per batch in dispatch order, dequantizing int8 rows on the way in.
+    for (index, lo, rows) in plan.chunk_regions(w, |i| batches[i].xs.rows()) {
+        let mut vals = Vec::with_capacity(rows * width);
+        reply.data.unpack_rows(width, lo, lo + rows, &mut vals);
+        pending[index] = Some(Tensor::from_vec((rows, width), vals));
+    }
+    vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
+    Ok(())
 }
 
 // [`ExpertProvider`] is an infallible seam (the model crate knows nothing
@@ -1644,9 +1287,9 @@ impl ExpertProvider for BrokerClient {
     }
 
     // The streamed overrides are where the model-layer overlap comes
-    // from: `MoeBlock` scatters each chunk's results into its output
-    // buffer while later chunks are still on the wire, instead of parking
-    // them in a Vec until the block-pass completes.
+    // from: `MoeBlock` scatters each completed prefix of results into its
+    // output buffer while other workers' replies are still on the wire,
+    // instead of parking them in a Vec until the block-pass completes.
     fn forward_block_streamed(
         &mut self,
         block: usize,
@@ -1671,7 +1314,7 @@ impl ExpertProvider for BrokerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{star, WireFormat};
+    use crate::transport::{build_star, star, TransportConfig};
     use crate::worker::ExpertManager;
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
@@ -1687,9 +1330,22 @@ mod tests {
         LocalExpertStore,
         ModelConfig,
     ) {
+        setup_on(TransportConfig::channel())
+    }
+
+    /// [`setup`] over the given in-process transport.
+    fn setup_on(
+        transport: TransportConfig,
+    ) -> (
+        BrokerClient,
+        Vec<ExpertManager>,
+        LocalExpertStore,
+        ModelConfig,
+    ) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (hub, ports) =
+            build_star(transport, ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]).unwrap();
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1808,12 +1464,11 @@ mod tests {
 
     #[test]
     fn every_exchange_shape_is_bitwise_identical() {
-        // The same forward+backward exchange under every {coalesce ×
-        // microbatch} shape must reproduce the per-batch baseline bit for
-        // bit — results, phase logs, everything the model sees.
-        let run = |cfg: ExchangeConfig| {
-            let (mut broker, managers, _, model_cfg) = setup();
-            broker.set_exchange(cfg);
+        // The same forward+backward exchange over every in-process
+        // transport must reproduce the local single-store computation bit
+        // for bit — results, phase logs, everything the model sees.
+        let run = |transport: TransportConfig| {
+            let (mut broker, managers, mut reference, model_cfg) = setup_on(transport);
             let mut rng = DetRng::new(11);
             let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
                 .map(|e| ExpertBatch {
@@ -1822,6 +1477,7 @@ mod tests {
                 })
                 .collect();
             let fwd = broker.forward_block(0, &batches);
+            assert_eq!(fwd, reference.forward_block(0, &batches));
             let grads: Vec<ExpertBatch> = batches
                 .iter()
                 .map(|b| ExpertBatch {
@@ -1830,46 +1486,23 @@ mod tests {
                 })
                 .collect();
             let bwd = broker.backward_block(0, &grads);
+            assert_eq!(bwd, reference.backward_block(0, &grads));
             let logs = broker.take_phase_logs();
             teardown(&mut broker, managers);
             (fwd, bwd, logs)
         };
-        let baseline = run(ExchangeConfig::per_batch());
-        for wire in [WireFormat::Legacy, WireFormat::Packed] {
-            for coalesce in [false, true] {
-                for microbatch in [Microbatch::Fixed(1), Microbatch::Fixed(3), Microbatch::Auto] {
-                    for depth in [1, 2, 4] {
-                        let shaped = run(ExchangeConfig {
-                            coalesce,
-                            microbatch,
-                            depth,
-                            wire,
-                            ..ExchangeConfig::default()
-                        });
-                        assert_eq!(
-                            baseline,
-                            shaped,
-                            "wire={} coalesce={coalesce} microbatch={microbatch} depth={depth} \
-                             must be invisible",
-                            wire.label()
-                        );
-                    }
-                }
-            }
-        }
+        assert_eq!(
+            run(TransportConfig::channel()),
+            run(TransportConfig::tcp_threads()),
+            "the transport must be invisible"
+        );
     }
 
     #[test]
     fn streamed_delivery_is_an_ascending_prefix() {
-        // The sink must see batch indices 0..n in order — with chunking
-        // and a deep ring, out-of-order arrivals have to wait in pending.
+        // The sink must see batch indices 0..n in order even though the
+        // two workers' replies race: an early reply waits in pending.
         let (mut broker, managers, mut reference, model_cfg) = setup();
-        broker.set_exchange(ExchangeConfig {
-            coalesce: true,
-            microbatch: Microbatch::Fixed(3),
-            depth: 4,
-            ..ExchangeConfig::default()
-        });
         let mut rng = DetRng::new(21);
         let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
             .map(|e| ExpertBatch {
@@ -1890,30 +1523,28 @@ mod tests {
 
     #[test]
     fn coalescing_shrinks_frames_not_bytes() {
-        let run = |cfg: ExchangeConfig| {
-            let (mut broker, managers, _, model_cfg) = setup();
-            broker.set_exchange(cfg);
-            let mut rng = DetRng::new(13);
-            let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
-                .map(|e| ExpertBatch {
-                    expert: e,
-                    xs: vela_tensor::Tensor::uniform((3, model_cfg.dim), -1.0, 1.0, &mut rng),
-                })
-                .collect();
-            broker.forward_block(0, &batches);
-            let frames = broker.frame_counts();
-            let log = broker.take_phase_logs().pop().unwrap();
-            teardown(&mut broker, managers);
-            (frames, log.bytes_out, log.bytes_back)
-        };
-        let (per_frames, per_out, per_back) = run(ExchangeConfig::per_batch());
-        let (co_frames, co_out, co_back) = run(ExchangeConfig::default());
-        // 2 workers × 4 experts: 4 frames each way per-batch, 2 coalesced.
-        assert_eq!(per_frames, (4, 4));
-        assert_eq!(co_frames, (2, 2));
-        // ...while the accounted bytes are identical.
-        assert_eq!(per_out, co_out);
-        assert_eq!(per_back, co_back);
+        // All of a worker's batches ride one frame per block-pass, while
+        // the ledger charges the per-batch sum Σ (9 + rows·dim·4) computed
+        // here from the batch shapes alone.
+        let (mut broker, managers, _, model_cfg) = setup();
+        let mut rng = DetRng::new(13);
+        let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
+            .map(|e| ExpertBatch {
+                expert: e,
+                xs: vela_tensor::Tensor::uniform((3 + e, model_cfg.dim), -1.0, 1.0, &mut rng),
+            })
+            .collect();
+        broker.forward_block(0, &batches);
+        // 2 workers × 4 experts: one frame per worker each way.
+        assert_eq!(broker.frame_counts(), (2, 2));
+        let mut per_batch = vec![0u64; 2];
+        for b in &batches {
+            per_batch[b.expert % 2] += 9 + (b.xs.rows() * model_cfg.dim * 4) as u64;
+        }
+        let log = broker.take_phase_logs().pop().unwrap();
+        assert_eq!(log.bytes_out, per_batch);
+        assert_eq!(log.bytes_back, per_batch);
+        teardown(&mut broker, managers);
     }
 
     #[test]

@@ -82,31 +82,18 @@ impl Payload {
     }
 }
 
-/// Which half of a block-pass a group frame belongs to.
+/// Which half of a block-pass a packed frame belongs to.
 ///
-/// A [`Message::DispatchGroup`] carrying `Forward` items plays the role of
-/// many `TokenBatch` frames; `Backward` plays many `GradBatch` frames. The
-/// reply [`Message::ResultGroup`] mirrors the pass so the master can check
-/// it is draining the exchange it started.
+/// A [`Message::PackedDispatch`] carries token activations (`Forward`) or
+/// output gradients (`Backward`); the reply [`Message::PackedResult`]
+/// mirrors the pass so the master can check it is draining the exchange it
+/// started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupPass {
     /// Token activations out, expert outputs back.
     Forward,
     /// Output gradients out, input gradients back.
     Backward,
-}
-
-/// One expert's payload inside a coalesced group frame.
-///
-/// Equivalent to the `(expert, payload)` pair of a per-batch frame; the
-/// block index is hoisted to the enclosing group since a block-pass never
-/// mixes blocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupItem {
-    /// Expert index within the block.
-    pub expert: u32,
-    /// Activations or gradients for that expert.
-    pub payload: Payload,
 }
 
 /// One expert's contiguous row region inside a packed frame.
@@ -210,18 +197,16 @@ pub fn quantize_rows(data: &[f32], width: usize) -> (Vec<f32>, Vec<i8>) {
     (scales, codes)
 }
 
-/// A column-packed dispatch frame (master → worker): one contiguous row
-/// region for the whole worker-chunk, prefixed by a compact span table —
-/// no per-item payload headers. Plays the role of [`Message::DispatchGroup`]
-/// under `VELA_WIRE=packed`.
+/// A column-packed dispatch frame (master → worker): every expert batch
+/// the worker serves in one block-pass, as one contiguous row region
+/// prefixed by a compact span table — no per-item payload headers. The
+/// master ships exactly one such frame per worker per block-pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedGroup {
     /// MoE block index.
     pub block: u32,
     /// Forward (token activations) or backward (gradients).
     pub pass: GroupPass,
-    /// Pipeline chunk index within the block-pass.
-    pub chunk: u32,
     /// Features per row for real data; declared bytes per token for
     /// virtual rows.
     pub width: u32,
@@ -242,7 +227,6 @@ impl PackedGroup {
     pub fn pack<'a>(
         block: u32,
         pass: GroupPass,
-        chunk: u32,
         width: u32,
         quantize: bool,
         parts: impl Iterator<Item = (u32, &'a [f32])>,
@@ -273,7 +257,6 @@ impl PackedGroup {
         PackedGroup {
             block,
             pass,
-            chunk,
             width,
             spans,
             data,
@@ -284,7 +267,6 @@ impl PackedGroup {
     pub fn pack_virtual(
         block: u32,
         pass: GroupPass,
-        chunk: u32,
         bytes_per_token: u32,
         parts: impl Iterator<Item = (u32, u32)>,
     ) -> PackedGroup {
@@ -301,7 +283,6 @@ impl PackedGroup {
         PackedGroup {
             block,
             pass,
-            chunk,
             width: bytes_per_token,
             spans,
             data: PackedData::Virtual,
@@ -324,12 +305,10 @@ pub struct PackedReply {
     pub block: u32,
     /// Pass of the dispatch this answers.
     pub pass: GroupPass,
-    /// Chunk id echoed from the dispatch.
-    pub chunk: u32,
     /// Features per row (bytes per token for virtual rows).
     pub width: u32,
-    /// Item count echoed from the dispatch (accounting parity with
-    /// per-batch framing needs it; it is 2 bytes, not a span table).
+    /// Item count echoed from the dispatch (the accounting identity needs
+    /// it; it is 2 bytes, not a span table).
     pub items: u32,
     /// Total rows in the region.
     pub rows: u32,
@@ -344,42 +323,6 @@ pub enum Message {
     StepBegin {
         /// Step counter (for assertions/debugging).
         step: u64,
-    },
-    /// Token features for one expert (master → worker, forward pass).
-    TokenBatch {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Activations.
-        payload: Payload,
-    },
-    /// Expert output (worker → master, forward pass).
-    ExpertResult {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Activations.
-        payload: Payload,
-    },
-    /// Output gradients for one expert (master → worker, backward pass).
-    GradBatch {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Gradients.
-        payload: Payload,
-    },
-    /// Input gradients (worker → master, backward pass).
-    GradResult {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Gradients.
-        payload: Payload,
     },
     /// Marks the end of a step; workers run their optimizer.
     StepEnd,
@@ -412,39 +355,11 @@ pub enum Message {
     },
     /// Terminates the worker loop.
     Shutdown,
-    /// One chunk of a worker's expert batches for a block-pass in a single
-    /// frame (master → worker). Coalesces O(experts-per-worker) per-batch
-    /// frames into one round-trip; a microbatched exchange sends one group
-    /// per worker per chunk, each tagged with its chunk id so replies can
-    /// be matched while several chunks are in flight.
-    DispatchGroup {
-        /// MoE block index.
-        block: u32,
-        /// Forward (token activations) or backward (gradients).
-        pass: GroupPass,
-        /// Pipeline chunk index within the block-pass (0 when the
-        /// exchange is unchunked).
-        chunk: u32,
-        /// Per-expert payloads, in the master's dispatch order.
-        items: Vec<GroupItem>,
-    },
-    /// The worker's replies to a [`Message::DispatchGroup`], one item per
-    /// dispatched item in the same order (worker → master).
-    ResultGroup {
-        /// MoE block index.
-        block: u32,
-        /// Pass of the dispatch this answers.
-        pass: GroupPass,
-        /// Chunk id echoed from the dispatch this answers.
-        chunk: u32,
-        /// Per-expert results, in dispatch order.
-        items: Vec<GroupItem>,
-    },
-    /// Column-packed dispatch frame (`VELA_WIRE=packed`): the role of
-    /// [`Message::DispatchGroup`] with one contiguous region + span table
-    /// instead of per-item payload headers.
+    /// The data plane's only dispatch frame (master → worker): all of one
+    /// worker's expert batches for one block-pass, column-packed.
     PackedDispatch(PackedGroup),
-    /// Column-packed reply to a [`Message::PackedDispatch`].
+    /// The worker's reply to a [`Message::PackedDispatch`]: the results in
+    /// dispatch order, as one packed region.
     PackedResult(PackedReply),
     /// NTP-style clock probe (master → worker): `t1` is the master's
     /// send timestamp, echoed back so the reply is self-contained.
@@ -565,19 +480,16 @@ pub enum Message {
     },
 }
 
+// Tags 2–5 and 12–13 belonged to the retired per-batch and coalesced
+// data-plane frames. They are never reused: an old peer's frame must
+// decode as an unknown tag, not as something else.
 const TAG_STEP_BEGIN: u8 = 1;
-const TAG_TOKEN_BATCH: u8 = 2;
-const TAG_EXPERT_RESULT: u8 = 3;
-const TAG_GRAD_BATCH: u8 = 4;
-const TAG_GRAD_RESULT: u8 = 5;
 const TAG_STEP_END: u8 = 6;
 const TAG_STEP_DONE: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 const TAG_FETCH_EXPERT: u8 = 9;
 const TAG_EXPERT_STATE: u8 = 10;
 const TAG_INSTALL_DONE: u8 = 11;
-const TAG_DISPATCH_GROUP: u8 = 12;
-const TAG_RESULT_GROUP: u8 = 13;
 const TAG_PACKED_DISPATCH: u8 = 14;
 const TAG_PACKED_RESULT: u8 = 15;
 const TAG_CLOCK_PROBE: u8 = 16;
@@ -612,11 +524,6 @@ const ENC_VIRTUAL: u8 = 2;
 /// (`u16 expert | u32 offset | u16 rows`).
 const SPAN_BYTES: u64 = 8;
 
-/// Smallest possible encoded group item: 4 expert bytes + a virtual
-/// payload (1 tag + 4 rows + 4 bytes-per-token). Used to reject frames
-/// whose declared item count could not possibly fit before allocating.
-const MIN_GROUP_ITEM_BYTES: u64 = 13;
-
 impl Message {
     /// Serializes the message.
     pub fn encode(&self) -> Vec<u8> {
@@ -626,26 +533,6 @@ impl Message {
                 buf.put_u8(TAG_STEP_BEGIN);
                 buf.put_u64(*step);
             }
-            Message::TokenBatch {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_TOKEN_BATCH, *block, *expert, payload),
-            Message::ExpertResult {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_EXPERT_RESULT, *block, *expert, payload),
-            Message::GradBatch {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_GRAD_BATCH, *block, *expert, payload),
-            Message::GradResult {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_GRAD_RESULT, *block, *expert, payload),
             Message::StepEnd => buf.put_u8(TAG_STEP_END),
             Message::StepDone => buf.put_u8(TAG_STEP_DONE),
             Message::FetchExpert { block, expert } => {
@@ -670,18 +557,6 @@ impl Message {
                 buf.put_u32(*expert);
             }
             Message::Shutdown => buf.put_u8(TAG_SHUTDOWN),
-            Message::DispatchGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            } => encode_group(&mut buf, TAG_DISPATCH_GROUP, *block, *pass, *chunk, items),
-            Message::ResultGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            } => encode_group(&mut buf, TAG_RESULT_GROUP, *block, *pass, *chunk, items),
             Message::PackedDispatch(group) => encode_packed_dispatch(&mut buf, group),
             Message::PackedResult(reply) => encode_packed_result(&mut buf, reply),
             Message::ClockProbe { t1 } => {
@@ -772,33 +647,6 @@ impl Message {
             TAG_STEP_BEGIN => Message::StepBegin {
                 step: bytes.get_u64()?,
             },
-            TAG_TOKEN_BATCH | TAG_EXPERT_RESULT | TAG_GRAD_BATCH | TAG_GRAD_RESULT => {
-                let block = bytes.get_u32()?;
-                let expert = bytes.get_u32()?;
-                let payload = decode_payload(&mut bytes)?;
-                match tag {
-                    TAG_TOKEN_BATCH => Message::TokenBatch {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    TAG_EXPERT_RESULT => Message::ExpertResult {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    TAG_GRAD_BATCH => Message::GradBatch {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    _ => Message::GradResult {
-                        block,
-                        expert,
-                        payload,
-                    },
-                }
-            }
             TAG_STEP_END => Message::StepEnd,
             TAG_STEP_DONE => Message::StepDone,
             TAG_FETCH_EXPERT => Message::FetchExpert {
@@ -829,51 +677,6 @@ impl Message {
                 expert: bytes.get_u32()?,
             },
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_DISPATCH_GROUP | TAG_RESULT_GROUP => {
-                let block = bytes.get_u32()?;
-                let pass = match bytes.get_u8()? {
-                    PASS_FORWARD => GroupPass::Forward,
-                    PASS_BACKWARD => GroupPass::Backward,
-                    other => {
-                        return Err(WireError::BadTag {
-                            what: "group pass",
-                            tag: other,
-                        })
-                    }
-                };
-                let chunk = bytes.get_u32()?;
-                let count = bytes.get_u32()?;
-                // Reject impossible counts before allocating: every item
-                // occupies at least MIN_GROUP_ITEM_BYTES on the wire.
-                if u64::from(count) * MIN_GROUP_ITEM_BYTES > bytes.remaining() as u64 {
-                    return Err(WireError::BadLength {
-                        what: "group item count",
-                        declared: u64::from(count),
-                        available: bytes.remaining(),
-                    });
-                }
-                let mut items = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let expert = bytes.get_u32()?;
-                    let payload = decode_payload(&mut bytes)?;
-                    items.push(GroupItem { expert, payload });
-                }
-                if tag == TAG_DISPATCH_GROUP {
-                    Message::DispatchGroup {
-                        block,
-                        pass,
-                        chunk,
-                        items,
-                    }
-                } else {
-                    Message::ResultGroup {
-                        block,
-                        pass,
-                        chunk,
-                        items,
-                    }
-                }
-            }
             TAG_PACKED_DISPATCH => Message::PackedDispatch(decode_packed_dispatch(&mut bytes)?),
             TAG_PACKED_RESULT => Message::PackedResult(decode_packed_result(&mut bytes)?),
             TAG_CLOCK_PROBE => Message::ClockProbe {
@@ -977,10 +780,6 @@ impl Message {
     /// bytes (accounted, so virtual sizes are honoured) plus the header.
     pub fn accounted_bytes(&self) -> u64 {
         match self {
-            Message::TokenBatch { payload, .. }
-            | Message::ExpertResult { payload, .. }
-            | Message::GradBatch { payload, .. }
-            | Message::GradResult { payload, .. } => 9 + payload.accounted_bytes(),
             Message::StepBegin { .. } => 9,
             // Clock probes exist only to timestamp the wire; they must
             // not perturb ledgers (the hub additionally skips them in
@@ -1016,20 +815,12 @@ impl Message {
             | Message::Evict { .. }
             | Message::MigrationCommit { .. } => 9,
             Message::StepEnd | Message::StepDone | Message::Shutdown => 1,
-            // A group accounts exactly what its items would have cost as
-            // individual per-batch frames (9-byte routing header each), so
-            // ledgers are coalescing- and chunking-independent by
-            // construction: the group/chunk header is local framing, never
-            // accounted.
-            Message::DispatchGroup { items, .. } | Message::ResultGroup { items, .. } => items
-                .iter()
-                .map(|item| 9 + item.payload.accounted_bytes())
-                .sum(),
-            // Packed frames account the same 9-byte routing header per item
-            // as per-batch framing, plus actual data bytes per row — so
-            // exact (f32/virtual) packed exchanges are ledger-identical to
-            // legacy framing by construction, while int8's smaller rows
-            // show up honestly.
+            // Packed frames account a 9-byte routing header per item plus
+            // actual data bytes per row: `9·items + rows·row_cost`. For
+            // exact (f32/virtual) rows that is algebraically
+            // Σ_items (9 + rows·bytes_per_token) — the paper's per-batch
+            // byte sum — so the frame header is local framing, never
+            // accounted, while int8's smaller rows show up honestly.
             Message::PackedDispatch(group) => {
                 9 * group.spans.len() as u64
                     + u64::from(group.total_rows()) * group.data.row_cost(group.width)
@@ -1102,20 +893,6 @@ impl Message {
             PackedData::Virtual => 0,
         };
         let (kind, payload) = match self {
-            Message::TokenBatch { payload, .. } | Message::GradBatch { payload, .. } => {
-                (FrameKind::Dispatch, real_bytes(payload))
-            }
-            Message::ExpertResult { payload, .. } | Message::GradResult { payload, .. } => {
-                (FrameKind::Result, real_bytes(payload))
-            }
-            Message::DispatchGroup { items, .. } => (
-                FrameKind::Dispatch,
-                items.iter().map(|i| real_bytes(&i.payload)).sum(),
-            ),
-            Message::ResultGroup { items, .. } => (
-                FrameKind::Result,
-                items.iter().map(|i| real_bytes(&i.payload)).sum(),
-            ),
             Message::PackedDispatch(group) => (FrameKind::Dispatch, packed_bytes(&group.data)),
             Message::PackedResult(reply) => (FrameKind::Result, packed_bytes(&reply.data)),
             Message::ExpertState { data, .. } => (FrameKind::ExpertState, data.len() as u64),
@@ -1260,28 +1037,6 @@ impl ChunkAssembler {
     }
 }
 
-fn encode_group(
-    buf: &mut ByteWriter,
-    tag: u8,
-    block: u32,
-    pass: GroupPass,
-    chunk: u32,
-    items: &[GroupItem],
-) {
-    buf.put_u8(tag);
-    buf.put_u32(block);
-    buf.put_u8(match pass {
-        GroupPass::Forward => PASS_FORWARD,
-        GroupPass::Backward => PASS_BACKWARD,
-    });
-    buf.put_u32(chunk);
-    buf.put_u32(items.len() as u32);
-    for item in items {
-        buf.put_u32(item.expert);
-        encode_payload(buf, &item.payload);
-    }
-}
-
 fn encode_payload_msg(buf: &mut ByteWriter, tag: u8, block: u32, expert: u32, payload: &Payload) {
     buf.put_u8(tag);
     buf.put_u32(block);
@@ -1354,7 +1109,6 @@ fn encode_packed_dispatch(buf: &mut ByteWriter, group: &PackedGroup) {
     buf.put_u8(TAG_PACKED_DISPATCH);
     buf.put_u32(group.block);
     put_pass(buf, group.pass);
-    buf.put_u32(group.chunk);
     buf.put_u8(encoding_tag(&group.data));
     buf.put_u32(group.width);
     assert!(
@@ -1378,7 +1132,6 @@ fn encode_packed_result(buf: &mut ByteWriter, reply: &PackedReply) {
     buf.put_u8(TAG_PACKED_RESULT);
     buf.put_u32(reply.block);
     put_pass(buf, reply.pass);
-    buf.put_u32(reply.chunk);
     buf.put_u8(encoding_tag(&reply.data));
     buf.put_u32(reply.width);
     assert!(
@@ -1442,7 +1195,6 @@ fn decode_packed_region(
 fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, WireError> {
     let block = bytes.get_u32()?;
     let pass = get_pass(bytes)?;
-    let chunk = bytes.get_u32()?;
     let enc = bytes.get_u8()?;
     let width = bytes.get_u32()?;
     let count = u64::from(bytes.get_u16()?);
@@ -1489,7 +1241,6 @@ fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, Wir
     Ok(PackedGroup {
         block,
         pass,
-        chunk,
         width,
         spans,
         data,
@@ -1499,7 +1250,6 @@ fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, Wir
 fn decode_packed_result(bytes: &mut ByteReader<'_>) -> Result<PackedReply, WireError> {
     let block = bytes.get_u32()?;
     let pass = get_pass(bytes)?;
-    let chunk = bytes.get_u32()?;
     let enc = bytes.get_u8()?;
     let width = bytes.get_u32()?;
     let items = u32::from(bytes.get_u16()?);
@@ -1508,7 +1258,6 @@ fn decode_packed_result(bytes: &mut ByteReader<'_>) -> Result<PackedReply, WireE
     Ok(PackedReply {
         block,
         pass,
-        chunk,
         width,
         items,
         rows,
@@ -1556,32 +1305,27 @@ mod tests {
         let t = Tensor::uniform((3, 4), -1.0, 1.0, &mut rng);
         let msgs = vec![
             Message::StepBegin { step: 42 },
-            Message::TokenBatch {
-                block: 7,
-                expert: 3,
-                payload: Payload::from_tensor(&t),
-            },
-            Message::ExpertResult {
-                block: 0,
-                expert: 0,
-                payload: Payload::Virtual {
-                    rows: 100,
-                    bytes_per_token: 8192,
-                },
-            },
-            Message::GradBatch {
-                block: 31,
-                expert: 7,
-                payload: Payload::from_tensor(&t),
-            },
-            Message::GradResult {
+            Message::PackedDispatch(PackedGroup::pack(
+                7,
+                GroupPass::Forward,
+                4,
+                false,
+                std::iter::once((3u32, t.as_slice())),
+            )),
+            Message::PackedDispatch(PackedGroup::pack_virtual(
+                31,
+                GroupPass::Backward,
+                8192,
+                std::iter::once((7u32, 100u32)),
+            )),
+            Message::PackedResult(PackedReply {
                 block: 1,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 5,
-                    bytes_per_token: 64,
-                },
-            },
+                pass: GroupPass::Backward,
+                width: 4,
+                items: 1,
+                rows: 3,
+                data: PackedData::F32(t.as_slice().to_vec()),
+            }),
             Message::StepEnd,
             Message::StepDone,
             Message::Shutdown,
@@ -1636,14 +1380,16 @@ mod tests {
     #[test]
     fn real_encoded_size_matches_accounting() {
         let t = Tensor::ones((2, 3));
-        let msg = Message::TokenBatch {
-            block: 0,
-            expert: 0,
-            payload: Payload::from_tensor(&t),
-        };
-        // Header (1 tag + 4 block + 4 expert) + payload header (1 + 4 + 4)
-        // + 24 data bytes.
-        assert_eq!(msg.encode().len(), 9 + 9 + 24);
+        let msg = Message::PackedDispatch(PackedGroup::pack(
+            0,
+            GroupPass::Forward,
+            3,
+            false,
+            std::iter::once((0u32, t.as_slice())),
+        ));
+        // Frame header (1 tag + 4 block + 1 pass + 1 encoding + 4 width +
+        // 2 span count) + one 8-byte span + 24 data bytes.
+        assert_eq!(msg.encode().len(), 13 + 8 + 24);
         // Accounted bytes track payload + routing header, not the local
         // encoding details.
         assert_eq!(msg.accounted_bytes(), 9 + 24);
@@ -1758,6 +1504,151 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_are_unknown_and_survivors_keep_their_values() {
+        // Tags 2–5 (per-batch) and 12–13 (coalesced) framed the retired
+        // data-plane messages; an old peer's frame must be rejected as an
+        // unknown tag, whatever follows it.
+        for tag in [2u8, 3, 4, 5, 12, 13] {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&[0; 32]);
+            assert_eq!(
+                Message::decode(&frame),
+                Err(WireError::BadTag {
+                    what: "message",
+                    tag
+                })
+            );
+        }
+        // Every surviving message keeps the tag it always had.
+        let chunk = chunk_expert_state(0, 0, &[1]).remove(0);
+        let payload = || Payload::Virtual {
+            rows: 1,
+            bytes_per_token: 4,
+        };
+        let (b, e) = (0u32, 0u32);
+        let cases: Vec<(u8, Message)> = vec![
+            (1, Message::StepBegin { step: 0 }),
+            (6, Message::StepEnd),
+            (7, Message::StepDone),
+            (8, Message::Shutdown),
+            (
+                9,
+                Message::FetchExpert {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (
+                10,
+                Message::ExpertState {
+                    block: b,
+                    expert: e,
+                    data: vec![],
+                },
+            ),
+            (
+                11,
+                Message::InstallDone {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (
+                14,
+                Message::PackedDispatch(PackedGroup::pack_virtual(
+                    b,
+                    GroupPass::Forward,
+                    4,
+                    std::iter::empty(),
+                )),
+            ),
+            (
+                15,
+                Message::PackedResult(PackedReply {
+                    block: b,
+                    pass: GroupPass::Forward,
+                    width: 4,
+                    items: 0,
+                    rows: 0,
+                    data: PackedData::Virtual,
+                }),
+            ),
+            (16, Message::ClockProbe { t1: 0 }),
+            (
+                17,
+                Message::ClockReply {
+                    t1: 0,
+                    t2: 0,
+                    t3: 0,
+                },
+            ),
+            (
+                18,
+                Message::FetchGrads {
+                    block: b,
+                    expert: e,
+                    grad_bytes: 4,
+                },
+            ),
+            (
+                19,
+                Message::GradState {
+                    block: b,
+                    expert: e,
+                    payload: payload(),
+                },
+            ),
+            (
+                20,
+                Message::GradSyncDone {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (
+                21,
+                Message::FetchShadow {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (22, chunk),
+            (
+                23,
+                Message::OptimState {
+                    block: b,
+                    expert: e,
+                    payload: payload(),
+                },
+            ),
+            (
+                24,
+                Message::ShadowBegin {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (
+                25,
+                Message::Evict {
+                    block: b,
+                    expert: e,
+                },
+            ),
+            (
+                26,
+                Message::MigrationCommit {
+                    block: b,
+                    expert: e,
+                },
+            ),
+        ];
+        for (tag, msg) in cases {
+            assert_eq!(msg.encode()[0], tag, "{msg:?}");
+        }
+    }
+
+    #[test]
     fn truncated_frame_is_an_error() {
         let frame = Message::StepBegin { step: 7 }.encode();
         assert!(matches!(
@@ -1777,34 +1668,60 @@ mod tests {
     }
 
     #[test]
+    fn group_accounting_equals_per_batch_sum() {
+        // The reply side of the identity: a packed result costs what its
+        // items would as individual per-batch frames, Σ (9 + rows·width·4)
+        // for f32 rows and Σ (9 + rows·bytes_per_token) for virtual ones.
+        let rows = [1u64, 2, 3];
+        let f32_sum: u64 = rows.iter().map(|r| 9 + r * 4 * 4).sum();
+        let reply = Message::PackedResult(PackedReply {
+            block: 0,
+            pass: GroupPass::Forward,
+            width: 4,
+            items: 3,
+            rows: 6,
+            data: PackedData::F32(vec![0.0; 24]),
+        });
+        assert_eq!(reply.accounted_bytes(), f32_sum);
+        let virt = Message::PackedResult(PackedReply {
+            block: 0,
+            pass: GroupPass::Backward,
+            width: 8192,
+            items: 3,
+            rows: 6,
+            data: PackedData::Virtual,
+        });
+        let virt_sum: u64 = rows.iter().map(|r| 9 + r * 8192).sum();
+        assert_eq!(virt.accounted_bytes(), virt_sum);
+    }
+
+    #[test]
     fn group_frames_roundtrip() {
-        let mut rng = DetRng::new(4);
-        let t = Tensor::uniform((2, 3), -1.0, 1.0, &mut rng);
-        let msgs = vec![
-            Message::DispatchGroup {
-                block: 2,
-                pass: GroupPass::Forward,
-                chunk: 3,
-                items: vec![
-                    GroupItem {
-                        expert: 1,
-                        payload: Payload::from_tensor(&t),
-                    },
-                    GroupItem {
-                        expert: 6,
-                        payload: Payload::Virtual {
-                            rows: 9,
-                            bytes_per_token: 128,
-                        },
-                    },
-                ],
-            },
-            Message::ResultGroup {
-                block: 0,
+        // Edge-case packed frames: no spans at all, the largest block
+        // index, and an empty reply.
+        let msgs = [
+            Message::PackedDispatch(PackedGroup::pack(
+                u32::MAX,
+                GroupPass::Backward,
+                4,
+                false,
+                std::iter::empty(),
+            )),
+            Message::PackedDispatch(PackedGroup::pack(
+                2,
+                GroupPass::Forward,
+                1,
+                true,
+                std::iter::empty(),
+            )),
+            Message::PackedResult(PackedReply {
+                block: u32::MAX,
                 pass: GroupPass::Backward,
-                chunk: u32::MAX,
-                items: vec![],
-            },
+                width: 3,
+                items: 0,
+                rows: 0,
+                data: PackedData::F32(Vec::new()),
+            }),
         ];
         for msg in msgs {
             assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
@@ -1812,61 +1729,12 @@ mod tests {
     }
 
     #[test]
-    fn group_accounting_equals_per_batch_sum() {
-        // The whole point of the accounting rule: a coalesced frame costs
-        // byte-for-byte what its items would as individual frames.
-        let mut rng = DetRng::new(5);
-        let items: Vec<GroupItem> = (0..4)
-            .map(|e| GroupItem {
-                expert: e,
-                payload: Payload::from_tensor(&Tensor::uniform(
-                    (e as usize + 1, 3),
-                    -1.0,
-                    1.0,
-                    &mut rng,
-                )),
-            })
-            .collect();
-        let per_batch: u64 = items
-            .iter()
-            .map(|i| {
-                Message::TokenBatch {
-                    block: 1,
-                    expert: i.expert,
-                    payload: i.payload.clone(),
-                }
-                .accounted_bytes()
-            })
-            .sum();
-        let group = Message::DispatchGroup {
-            block: 1,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items,
-        };
-        assert_eq!(group.accounted_bytes(), per_batch);
-        // The chunk id is local framing: it never changes accounting.
-        let rechunked = match group {
-            Message::DispatchGroup {
-                block, pass, items, ..
-            } => Message::DispatchGroup {
-                block,
-                pass,
-                chunk: 7,
-                items,
-            },
-            _ => unreachable!(),
-        };
-        assert_eq!(rechunked.accounted_bytes(), per_batch);
-    }
-
-    #[test]
     fn group_bad_pass_is_an_error() {
         let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(12); // DispatchGroup
+        w.put_u8(14); // PackedDispatch
         w.put_u32(0);
         w.put_u8(7); // no such pass
-        w.put_u32(0);
+        w.put_u8(0);
         assert_eq!(
             Message::decode(&w.into_vec()),
             Err(WireError::BadTag {
@@ -1882,7 +1750,6 @@ mod tests {
         PackedGroup::pack(
             3,
             GroupPass::Forward,
-            1,
             4,
             quantize,
             vec![(2u32, a.as_slice()), (5u32, b.as_slice())].into_iter(),
@@ -1900,7 +1767,6 @@ mod tests {
         let reply = Message::PackedResult(PackedReply {
             block: 3,
             pass: GroupPass::Backward,
-            chunk: 2,
             width: 4,
             items: 2,
             rows: 3,
@@ -1910,7 +1776,6 @@ mod tests {
         let virt = Message::PackedDispatch(PackedGroup::pack_virtual(
             0,
             GroupPass::Forward,
-            0,
             8192,
             vec![(0u32, 100u32), (1, 50)].into_iter(),
         ));
@@ -1945,30 +1810,17 @@ mod tests {
 
     #[test]
     fn packed_f32_accounting_matches_legacy_group() {
-        // The exact packed layout must be ledger-invisible: its accounted
-        // bytes equal the legacy coalesced (and hence per-batch) framing
-        // for the same items, even though far fewer bytes hit the wire.
+        // The packed accounting `9·items + rows·row_cost` is the per-batch
+        // byte sum Σ (9 + rows·bytes_per_token) in disguise: computed here
+        // from the batch shapes alone, never from the frame.
         let mut rng = DetRng::new(6);
         let tensors: Vec<Tensor> = (0..3)
             .map(|i| Tensor::uniform((i + 1, 4), -1.0, 1.0, &mut rng))
             .collect();
-        let legacy = Message::DispatchGroup {
-            block: 0,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items: tensors
-                .iter()
-                .enumerate()
-                .map(|(e, t)| GroupItem {
-                    expert: e as u32,
-                    payload: Payload::from_tensor(t),
-                })
-                .collect(),
-        };
+        let per_batch: u64 = tensors.iter().map(|t| 9 + t.rows() as u64 * 4 * 4).sum();
         let packed = Message::PackedDispatch(PackedGroup::pack(
             0,
             GroupPass::Forward,
-            0,
             4,
             false,
             tensors
@@ -1976,34 +1828,17 @@ mod tests {
                 .enumerate()
                 .map(|(e, t)| (e as u32, t.as_slice())),
         ));
-        assert_eq!(packed.accounted_bytes(), legacy.accounted_bytes());
-        assert!(
-            packed.encode().len() < legacy.encode().len(),
-            "packing must shrink actual wire bytes"
-        );
-        // Virtual packed frames are ledger-identical to virtual groups too.
-        let virt_legacy = Message::DispatchGroup {
-            block: 0,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items: (0..3)
-                .map(|e| GroupItem {
-                    expert: e,
-                    payload: Payload::Virtual {
-                        rows: 10 * (e + 1),
-                        bytes_per_token: 8192,
-                    },
-                })
-                .collect(),
-        };
+        assert_eq!(packed.accounted_bytes(), per_batch);
+        // Virtual rows follow the same identity with the declared token
+        // size as bytes_per_token.
+        let virt_per_batch: u64 = (0..3u64).map(|e| 9 + 10 * (e + 1) * 8192).sum();
         let virt_packed = Message::PackedDispatch(PackedGroup::pack_virtual(
             0,
             GroupPass::Forward,
-            0,
             8192,
             (0..3).map(|e| (e, 10 * (e + 1))),
         ));
-        assert_eq!(virt_packed.accounted_bytes(), virt_legacy.accounted_bytes());
+        assert_eq!(virt_packed.accounted_bytes(), virt_per_batch);
     }
 
     #[test]
@@ -2041,7 +1876,6 @@ mod tests {
             w.put_u8(14); // PackedDispatch
             w.put_u32(0);
             w.put_u8(0); // Forward
-            w.put_u32(0); // chunk
             w.put_u8(0); // f32
             w.put_u32(2); // width
             w.put_u16(2); // spans
@@ -2070,13 +1904,13 @@ mod tests {
     }
 
     #[test]
-    fn implausible_packed_lengths_never_allocate() {
-        // A span table claiming 65535 entries with no bytes behind it.
+    fn implausible_group_count_never_allocates() {
+        // A span table claiming 65535 entries with no bytes behind it:
+        // rejected before the span vector is reserved.
         let mut w = crate::wire::ByteWriter::with_capacity(32);
         w.put_u8(14);
         w.put_u32(0);
         w.put_u8(0);
-        w.put_u32(0);
         w.put_u8(0);
         w.put_u32(1024);
         w.put_u16(u16::MAX);
@@ -2087,12 +1921,15 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn implausible_packed_lengths_never_allocate() {
         // A result frame declaring u32::MAX rows with an empty region.
         let mut w = crate::wire::ByteWriter::with_capacity(32);
         w.put_u8(15);
         w.put_u32(0);
         w.put_u8(0);
-        w.put_u32(0);
         w.put_u8(1); // int8
         w.put_u32(4096);
         w.put_u16(1);
@@ -2108,15 +1945,17 @@ mod tests {
 
     #[test]
     fn wire_cost_splits_header_from_payload() {
-        let t = Tensor::ones((2, 3));
-        let msg = Message::TokenBatch {
+        let reply = Message::PackedResult(PackedReply {
             block: 0,
-            expert: 0,
-            payload: Payload::from_tensor(&t),
-        };
-        let frame = msg.encode();
-        let (kind, header, payload) = msg.wire_cost(frame.len());
-        assert_eq!(kind, FrameKind::Dispatch);
+            pass: GroupPass::Forward,
+            width: 3,
+            items: 1,
+            rows: 2,
+            data: PackedData::F32(vec![1.0; 6]),
+        });
+        let frame = reply.encode();
+        let (kind, header, payload) = reply.wire_cost(frame.len());
+        assert_eq!(kind, FrameKind::Result);
         assert_eq!(payload, 24);
         assert_eq!(header, frame.len() as u64 - 24);
 
@@ -2125,31 +1964,12 @@ mod tests {
         let (kind, header, payload) = packed.wire_cost(frame.len());
         assert_eq!(kind, FrameKind::Dispatch);
         assert_eq!(payload, 12 * 4);
-        // tag 1 + block 4 + pass 1 + chunk 4 + enc 1 + width 4 + count 2
-        // + 2 spans × 8.
-        assert_eq!(header, 17 + 16);
+        // tag 1 + block 4 + pass 1 + enc 1 + width 4 + count 2 + 2 spans × 8.
+        assert_eq!(header, 13 + 16);
 
         let (kind, _, payload) = Message::StepEnd.wire_cost(1);
         assert_eq!(kind, FrameKind::Control);
         assert_eq!(payload, 0);
-    }
-
-    #[test]
-    fn implausible_group_count_never_allocates() {
-        // Claims u32::MAX items but carries none: reject before reserving.
-        let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(13); // ResultGroup
-        w.put_u32(0);
-        w.put_u8(0); // Forward
-        w.put_u32(0); // chunk
-        w.put_u32(u32::MAX);
-        assert!(matches!(
-            Message::decode(&w.into_vec()),
-            Err(WireError::BadLength {
-                what: "group item count",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -2158,7 +1978,7 @@ mod tests {
         // decoder must reject the header instead of attempting a huge
         // allocation.
         let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(2); // TokenBatch
+        w.put_u8(19); // GradState
         w.put_u32(0);
         w.put_u32(0);
         w.put_u8(0); // Payload::Real

@@ -26,9 +26,11 @@ pub struct StepMetrics {
 pub struct PhaseAttribution {
     /// Master time encoding + enqueueing dispatch frames.
     pub serialize_us: f64,
-    /// Master time blocked draining replies (chunks in flight).
+    /// Master time blocked draining replies (replies in flight).
     pub inflight_us: f64,
-    /// Slice of the inflight window spent in ring-full backpressure.
+    /// Backpressure slice of the inflight window (the
+    /// `runtime.pipeline.stall_us` counter; 0, as the exchange has no
+    /// pipelining ring).
     pub stall_us: f64,
     /// Worker expert-serve time. Zero when workers run in separate
     /// processes (their counters live in the worker traces, not here).
@@ -37,7 +39,7 @@ pub struct PhaseAttribution {
     pub combine_us: f64,
     /// Exchange wall time (dispatch through last reply).
     pub exchange_us: f64,
-    /// Ring-full stall events per step.
+    /// Backpressure stall events per step (0, as above).
     pub stalls: f64,
 }
 

@@ -253,9 +253,8 @@ impl RealRuntime {
         self.broker.transport()
     }
 
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at launch. Metrics and ledger windows are
-    /// bitwise-identical for every shape; only wire frame counts change.
+    /// Overrides the exchange options (`VELA_QUANT`, `VELA_MIGRATION`)
+    /// chosen from the environment at launch.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
         self.broker.set_exchange(cfg);
     }
@@ -270,24 +269,14 @@ impl RealRuntime {
         self.broker.set_exchange(cfg);
     }
 
-    /// Overrides the replica grad-sync shape (the `VELA_SYNC_OVERLAP`
-    /// knob): sequential round-trips, or all fetches in flight at once.
-    /// Workers only apply synced gradients on `StepEnd`, so both shapes
-    /// are bit-identical.
-    pub fn set_sync_overlap(&mut self, on: bool) {
-        let mut cfg = self.broker.exchange_config();
-        cfg.sync_overlap = on;
-        self.broker.set_exchange(cfg);
-    }
-
     /// Wire frames shipped/drained by the master hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
         self.broker.frame_counts()
     }
 
     /// Actual encoded wire bytes by frame kind (headers vs payloads) —
-    /// the quantity `VELA_WIRE` / `VELA_QUANT` exist to shrink. Unlike
-    /// the traffic ledger this *does* depend on the wire format.
+    /// the quantity `VELA_QUANT` exists to shrink. Unlike the traffic
+    /// ledger this *does* depend on the encoding.
     pub fn wire_stats(&self) -> crate::transport::WireStats {
         self.broker.wire_stats()
     }
@@ -525,7 +514,7 @@ impl RealRuntime {
 /// Ships every expert to its placed worker process as an accounted
 /// `ExpertState` frame and waits for all install acks.
 ///
-/// With `VELA_QUANT=int8` (and the packed wire) the blobs cross the wire
+/// With `VELA_QUANT=int8` the blobs cross the wire
 /// as `VELQ` checkpoints at roughly a quarter of the f32 size; workers
 /// install the dequantized weights (the lossy opt-in), while teardown
 /// fetch-back always rides exact f32.

@@ -71,9 +71,10 @@ pub const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 pub const ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Depth of each per-link writer queue, in frames. Deep enough to absorb
-/// a full block-pass of dispatches (one coalesced group, or tens of
-/// per-batch frames) without blocking the broker; shallow enough that a
-/// stalled worker exerts backpressure instead of buffering a whole run.
+/// a block-pass dispatch (one packed frame per worker) on top of a burst
+/// of migration chunk relays without blocking the broker; shallow enough
+/// that a stalled worker exerts backpressure instead of buffering a
+/// whole run.
 pub const WRITER_QUEUE_FRAMES: usize = 64;
 
 fn frame_too_big(len: u64) -> TransportError {
@@ -640,7 +641,7 @@ pub fn tcp_star(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Message, Payload};
+    use crate::message::{GroupPass, Message, PackedGroup};
     use vela_cluster::Topology;
 
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
@@ -665,15 +666,13 @@ mod tests {
     fn large_real_payload_roundtrips() {
         let (_, mut hub, mut ports) = setup();
         let data: Vec<f32> = (0..40_000).map(|i| i as f32 * 0.5 - 7.0).collect();
-        let msg = Message::TokenBatch {
-            block: 1,
-            expert: 2,
-            payload: Payload::Real {
-                rows: 200,
-                cols: 200,
-                data,
-            },
-        };
+        let msg = Message::PackedDispatch(PackedGroup::pack(
+            1,
+            GroupPass::Forward,
+            200,
+            false,
+            std::iter::once((2, data.as_slice())),
+        ));
         hub.send(0, &msg).unwrap();
         assert_eq!(ports[0].recv().unwrap(), msg);
         hub.shutdown();
@@ -682,14 +681,12 @@ mod tests {
     #[test]
     fn ledger_accounts_identically_to_channel() {
         let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-        let msg = Message::TokenBatch {
-            block: 0,
-            expert: 0,
-            payload: Payload::Virtual {
-                rows: 10,
-                bytes_per_token: 100,
-            },
-        };
+        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            0,
+            GroupPass::Forward,
+            100,
+            std::iter::once((0, 10)),
+        ));
         let drive = |mut hub: MasterHub, mut ports: Vec<WorkerPort>| {
             hub.send(0, &msg).unwrap();
             hub.send(1, &msg).unwrap();

@@ -30,14 +30,12 @@ use crate::broker::{
     MigrationState, Pass, PhaseLog,
 };
 use crate::launch::{launch_process_star, WorkerHandle};
-use crate::message::{GroupItem, Message, PackedData, PackedGroup, Payload};
+use crate::message::{Message, PackedData, PackedGroup};
 use crate::metrics::{backbone_flops_per_token, master_worker_time, StepMetrics};
-use crate::pipeline::{AutoTuner, ChunkPlan, ExchangeTimer};
-use crate::pipeline::{SPAN_INFLIGHT, SPAN_SERIALIZE, STALLS};
+use crate::pipeline::{ChunkPlan, ExchangeTimer};
+use crate::pipeline::{SPAN_INFLIGHT, SPAN_SERIALIZE};
 use crate::routing::sample_expert_counts;
-use crate::transport::{
-    build_star, ExchangeConfig, MasterHub, Microbatch, TransportConfig, WireFormat, WireStats,
-};
+use crate::transport::{build_star, MasterHub, TransportConfig, WireStats};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// Scale parameters of a virtual evaluation run.
@@ -132,9 +130,7 @@ pub struct VirtualEngine {
     worker_devices: Vec<DeviceId>,
     rng: DetRng,
     step: usize,
-    exchange_cfg: ExchangeConfig,
     plan: ChunkPlan,
-    tuner: AutoTuner,
 }
 
 impl VirtualEngine {
@@ -251,9 +247,7 @@ impl VirtualEngine {
             worker_devices,
             rng,
             step: 0,
-            exchange_cfg: ExchangeConfig::from_env(),
             plan: ChunkPlan::default(),
-            tuner: AutoTuner::default(),
         }
     }
 
@@ -284,13 +278,6 @@ impl VirtualEngine {
         } else {
             max / mean
         }
-    }
-
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at launch. Ledger windows are byte-identical
-    /// for every shape; only wire frame counts change.
-    pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
-        self.exchange_cfg = cfg;
     }
 
     /// Wire frames shipped/drained by the hub so far (out, in).
@@ -353,14 +340,13 @@ impl VirtualEngine {
             let _sync = vela_obs::span("runtime.virtual.grad_sync");
             let grad_bytes = expert_lora_grad_bytes(&spec, self.scale.lora_rank) as u32;
             // The virtual engine never migrates, so it syncs over an
-            // empty lane table; the overlap knob still applies.
+            // empty lane table.
             let mut no_lanes = MigrationState::default();
             sync_grads_over(
                 &mut self.hub,
                 &self.placement,
                 &self.routes,
                 grad_bytes,
-                self.exchange_cfg.sync_overlap,
                 &mut no_lanes,
             )
             .unwrap_or_else(|e| panic!("transport failed during grad sync: {e}"))
@@ -450,59 +436,28 @@ impl VirtualEngine {
             .filter(|&(_, &rows)| rows > 0)
             .map(|(expert, &rows)| (expert, rows as u32))
             .collect();
-        // The same bounded ring as `BrokerClient::exchange`: each worker's
-        // sends are split into per-worker chunks (so chunking composes with
-        // coalescing), up to `depth` ticks ride the wire at once, and
-        // before shipping tick c the master drains every frame owed
-        // through tick c − depth.
-        let cfg = self.exchange_cfg;
+        // The same packed exchange as `BrokerClient::exchange`: one frame
+        // per worker with routed rows, then one reply drained per frame.
         let backward = matches!(pass, Pass::Backward);
         let loads: Vec<(usize, u64)> = sends
             .iter()
             .map(|&(e, rows)| (e, u64::from(rows)))
             .collect();
         let routes = route_experts(&self.placement, &mut self.routes, block, backward, &loads);
-        let (chunks, probe) = match cfg.microbatch {
-            Microbatch::Fixed(n) => (n, false),
-            Microbatch::Auto => self.tuner.plan(block, backward),
+        self.plan.build(workers, routes.iter().copied());
+        let mut timer = ExchangeTimer::new(vela_obs::enabled());
+        let sent = {
+            let _g = vela_obs::span(SPAN_SERIALIZE);
+            let t0 = timer.mark();
+            let sent = self.send_virtual(block, pass, &sends, bytes_per_token, &mut log);
+            timer.sent(t0);
+            sent
         };
-        self.plan.build(workers, chunks, routes.iter().copied());
-        let ticks = self.plan.ticks();
-        let depth = cfg.depth.max(1);
-        let mut timer = ExchangeTimer::new(probe || vela_obs::enabled());
-        let mut owed_after: Vec<usize> = Vec::with_capacity(ticks);
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        for tick in 0..ticks {
-            if tick >= depth {
-                let owed = owed_after[tick - depth];
-                if received < owed {
-                    STALLS.add(1);
-                }
-                while received < owed {
-                    received += self.drain_virtual(pass, &mut log, &mut timer);
-                    timer.drained(received);
-                }
-            }
-            {
-                let _g = vela_obs::span(SPAN_SERIALIZE);
-                let t0 = timer.mark();
-                sent +=
-                    self.send_virtual_tick(block, pass, tick, &sends, bytes_per_token, &mut log);
-                timer.add_serialize(t0);
-            }
-            timer.tick_sent(sent);
-            owed_after.push(sent);
+        for _ in 0..sent {
+            self.drain_virtual(block, pass, &mut log);
+            timer.drained();
         }
-        while received < sent {
-            received += self.drain_virtual(pass, &mut log, &mut timer);
-            timer.drained(received);
-        }
-        if let Some((serialize_us, wait_us)) = timer.finish() {
-            if probe {
-                self.tuner.record(block, backward, serialize_us, wait_us);
-            }
-        }
+        timer.finish();
         if vela_obs::enabled() {
             let rows: Vec<(usize, usize)> = counts
                 .iter()
@@ -526,161 +481,67 @@ impl VirtualEngine {
         log
     }
 
-    /// Ships ring tick `tick`: one coalesced group per worker carrying
-    /// that worker's chunk of virtual sends (or per-batch frames with
-    /// coalescing off). Returns the wire frames dispatched.
-    fn send_virtual_tick(
+    /// Ships one packed virtual frame — a span table, no data region — to
+    /// every worker with routed rows. Returns the frames dispatched.
+    fn send_virtual(
         &mut self,
         block: usize,
         pass: Pass,
-        tick: usize,
         sends: &[(usize, u32)],
         bytes_per_token: u32,
         log: &mut PhaseLog,
     ) -> usize {
-        let payload_for = |rows: u32| Payload::Virtual {
-            rows,
-            bytes_per_token,
-        };
         let mut frames = 0usize;
         for w in 0..self.hub.worker_count() {
-            let indices = self.plan.chunk_items(w, tick);
+            let indices = self.plan.items(w);
             if indices.is_empty() {
                 continue;
             }
-            if self.exchange_cfg.coalesce && self.exchange_cfg.wire == WireFormat::Packed {
-                // Column-packed framing: one span table, no per-item
-                // Payload headers. Virtual rows carry no data region, so
-                // quantization does not apply here.
-                for &i in indices {
-                    log.rows[w] += u64::from(sends[i].1);
-                }
-                let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
-                    block as u32,
-                    group_pass(pass),
-                    tick as u32,
-                    bytes_per_token,
-                    indices.iter().map(|&i| (sends[i].0 as u32, sends[i].1)),
-                ));
-                log.bytes_out[w] += msg.accounted_bytes();
-                vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-                self.hub
-                    .send(w, &msg)
-                    .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                frames += 1;
-            } else if self.exchange_cfg.coalesce {
-                let items: Vec<GroupItem> = indices
-                    .iter()
-                    .map(|&i| {
-                        let (expert, rows) = sends[i];
-                        log.rows[w] += u64::from(rows);
-                        GroupItem {
-                            expert: expert as u32,
-                            payload: payload_for(rows),
-                        }
-                    })
-                    .collect();
-                let msg = Message::DispatchGroup {
-                    block: block as u32,
-                    pass: group_pass(pass),
-                    chunk: tick as u32,
-                    items,
-                };
-                log.bytes_out[w] += msg.accounted_bytes();
-                vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-                self.hub
-                    .send(w, &msg)
-                    .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                frames += 1;
-            } else {
-                for &i in indices {
-                    let (expert, rows) = sends[i];
-                    let payload = payload_for(rows);
-                    let msg = match pass {
-                        Pass::Forward => Message::TokenBatch {
-                            block: block as u32,
-                            expert: expert as u32,
-                            payload,
-                        },
-                        Pass::Backward => Message::GradBatch {
-                            block: block as u32,
-                            expert: expert as u32,
-                            payload,
-                        },
-                    };
-                    log.bytes_out[w] += msg.accounted_bytes();
-                    log.rows[w] += u64::from(rows);
-                    self.hub
-                        .send(w, &msg)
-                        .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                    frames += 1;
-                }
+            for &i in indices {
+                log.rows[w] += u64::from(sends[i].1);
             }
+            let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+                block as u32,
+                group_pass(pass),
+                bytes_per_token,
+                indices.iter().map(|&i| (sends[i].0 as u32, sends[i].1)),
+            ));
+            log.bytes_out[w] += msg.accounted_bytes();
+            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass));
+            self.hub
+                .send(w, &msg)
+                .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
+            frames += 1;
         }
         frames
     }
 
-    /// Drains one reply frame (per-batch echo or a `ResultGroup`),
-    /// accounting its uplink bytes. Returns the frames consumed (1).
-    fn drain_virtual(
-        &mut self,
-        pass: Pass,
-        log: &mut PhaseLog,
-        timer: &mut ExchangeTimer,
-    ) -> usize {
+    /// Drains one echoed packed reply, accounting its uplink bytes.
+    fn drain_virtual(&mut self, block: usize, pass: Pass, log: &mut PhaseLog) {
         let (w, msg) = {
             let _g = vela_obs::span(SPAN_INFLIGHT);
-            let t0 = timer.mark();
-            let r = self
-                .hub
+            self.hub
                 .recv()
-                .unwrap_or_else(|e| panic!("transport failed during gather: {e}"));
-            timer.add_wait(t0);
-            r
+                .unwrap_or_else(|e| panic!("transport failed during gather: {e}"))
         };
         log.bytes_back[w] += msg.accounted_bytes();
-        match (pass, msg) {
-            (Pass::Forward, Message::ExpertResult { .. })
-            | (Pass::Backward, Message::GradResult { .. }) => {}
-            (
-                _,
-                Message::ResultGroup {
-                    block,
-                    pass: rp,
-                    chunk,
-                    ref items,
-                },
-            ) if rp == group_pass(pass) => {
-                let expected = self.plan.chunk_items(w, chunk as usize).len();
-                assert_eq!(
-                    items.len(),
-                    expected,
-                    "worker {w} echoed chunk {chunk} with wrong item count"
-                );
-                vela_obs::flow(
-                    FlowPhase::Finish,
-                    exchange_corr(w, block as usize, pass, chunk as usize),
-                );
-            }
-            (_, Message::PackedResult(ref reply)) if reply.pass == group_pass(pass) => {
+        match msg {
+            Message::PackedResult(reply)
+                if reply.pass == group_pass(pass) && reply.block as usize == block =>
+            {
                 assert!(
                     matches!(reply.data, PackedData::Virtual),
                     "real packed reply in a virtual exchange"
                 );
-                let expected = self.plan.chunk_items(w, reply.chunk as usize).len();
                 assert_eq!(
-                    reply.items as usize, expected,
-                    "worker {w} echoed packed chunk {} with wrong item count",
-                    reply.chunk
+                    reply.items as usize,
+                    self.plan.items(w).len(),
+                    "worker {w} echoed a packed frame with the wrong item count"
                 );
-                vela_obs::flow(
-                    FlowPhase::Finish,
-                    exchange_corr(w, reply.block as usize, pass, reply.chunk as usize),
-                );
+                vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
             }
-            (_, other) => panic!("unexpected reply {other:?}"),
+            other => panic!("unexpected reply {other:?}"),
         }
-        1
     }
 }
 
@@ -786,6 +647,10 @@ mod tests {
 
     #[test]
     fn packed_virtual_ledger_matches_legacy() {
+        // The ledger charges the per-batch byte sum Σ (9 + rows·bpt) over
+        // every routed batch, both directions of both passes, plus the
+        // step's control frames — computed here from the routing counts
+        // alone, never from the frames.
         let spec = small_spec();
         let scale = ScaleConfig {
             batch: 2,
@@ -793,30 +658,30 @@ mod tests {
             ..ScaleConfig::paper_default(spec)
         };
         let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, 1.2, 2);
-        let run = |wire: WireFormat| {
-            let mut engine = launch(seq_placement(&spec, 6), profile.clone(), scale.clone());
-            engine.set_exchange(ExchangeConfig {
-                wire,
-                microbatch: Microbatch::Fixed(2),
-                ..ExchangeConfig::default()
-            });
-            let metrics = engine.run(3);
-            let stats = engine.wire_stats();
-            engine.shutdown();
-            let bytes: Vec<u64> = metrics.iter().map(|m| m.traffic.total_bytes).collect();
-            (bytes, stats)
-        };
-        let (legacy, legacy_stats) = run(WireFormat::Legacy);
-        let (packed, packed_stats) = run(WireFormat::Packed);
-        // The accounted ledger is identical by construction; the actual
-        // encoded bytes shrink because span tables replace Payload headers.
-        assert_eq!(legacy, packed);
-        assert!(
-            packed_stats.dispatch_total() < legacy_stats.dispatch_total(),
-            "packed {} vs legacy {}",
-            packed_stats.dispatch_total(),
-            legacy_stats.dispatch_total()
-        );
+        let placement = seq_placement(&spec, 6);
+        let mut engine = launch(placement.clone(), profile.clone(), scale.clone());
+        let metrics = engine.run(3);
+        engine.shutdown();
+
+        // Worker 0 shares the master's device: its traffic is free.
+        let remote = |e: usize, block: usize| placement.worker_of(block, e) != 0;
+        let control = 5 * (9 + 1 + 1); // StepBegin + StepEnd + StepDone
+        let mut profile = profile;
+        let mut rng = DetRng::new(scale.seed);
+        for m in &metrics {
+            let mut expected = control;
+            for block in 0..spec.blocks {
+                let counts =
+                    sample_expert_counts(&profile, block, scale.tokens(), spec.top_k, &mut rng);
+                for (e, &rows) in counts.iter().enumerate() {
+                    if rows > 0 && remote(e, block) {
+                        expected += 4 * (9 + rows as u64 * spec.token_bytes());
+                    }
+                }
+            }
+            assert_eq!(m.traffic.total_bytes, expected, "step {}", m.step);
+            profile.sharpen(scale.drift);
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use std::thread::JoinHandle;
 
 use vela_model::checkpoint;
-use vela_model::provider::ExpertBatch;
-use vela_model::{ExpertProvider, LocalExpertStore};
+use vela_model::LocalExpertStore;
 use vela_nn::optim::{AdamW, AdamWConfig};
 use vela_nn::param::Module;
 use vela_nn::swiglu::SwiGlu;
@@ -27,17 +26,17 @@ use vela_tensor::Tensor;
 use vela_obs::{FlowPhase, LazyCounter};
 
 use crate::message::{
-    chunk_expert_state, quantize_rows, ChunkAssembler, GroupItem, GroupPass, Message, PackedData,
-    PackedGroup, PackedReply, Payload,
+    chunk_expert_state, quantize_rows, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup,
+    PackedReply, Payload,
 };
 use crate::transport::{TransportError, WorkerPort};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
-/// Wall time spent inside [`serve_group`]/[`serve_packed`] — the
-/// worker-compute term of the step-time attribution.
+/// Wall time spent inside [`serve_packed`] — the worker-compute term of
+/// the step-time attribution.
 static SERVE_US: LazyCounter = LazyCounter::new("runtime.worker.serve_us");
 
-/// The worker-side span wrapping one coalesced serve (+ its reply send).
+/// The worker-side span wrapping one packed serve (+ its reply send).
 const SPAN_SERVE: &str = "runtime.worker.serve";
 
 /// Flattens an expert's trainable-parameter gradients into one row, in
@@ -173,16 +172,17 @@ struct MigrationTable {
     installed: HashMap<(u32, u32), Vec<(String, Option<(Tensor, Tensor)>)>>,
 }
 
-/// The correlation key of a coalesced dispatch as seen from the worker:
-/// the step comes from the last `StepBegin` (per-link FIFO order makes
-/// that the step the frame belongs to), the worker index from the port.
-fn serve_corr(index: usize, block: u32, pass: GroupPass, chunk: u32) -> u64 {
+/// The correlation key of a packed dispatch as seen from the worker: the
+/// step comes from the last `StepBegin` (per-link FIFO order makes that
+/// the step the frame belongs to), the worker index from the port, and
+/// the chunk field is always 0 (one frame per worker per block-pass).
+fn serve_corr(index: usize, block: u32, pass: GroupPass) -> u64 {
     vela_obs::corr::pack(
         vela_obs::current_step(),
         index as u64,
         u64::from(block),
         matches!(pass, GroupPass::Backward) as u64,
-        u64::from(chunk),
+        0,
     )
 }
 
@@ -352,8 +352,9 @@ pub struct ExpertManager {
 impl ExpertManager {
     /// Spawns a worker thread serving `shard` over `port`.
     ///
-    /// The worker answers [`Message::TokenBatch`]/[`Message::GradBatch`]
-    /// requests (virtual payloads are echoed with matching sizes), zeroes
+    /// The worker answers [`Message::PackedDispatch`] requests (virtual
+    /// rows are echoed with matching sizes; malformed frames end the loop
+    /// with the shard intact), zeroes
     /// gradients on [`Message::StepBegin`], steps its optimizer on
     /// [`Message::StepEnd`] (acknowledged with [`Message::StepDone`]),
     /// serves expert migration ([`Message::FetchExpert`] /
@@ -473,103 +474,12 @@ fn handle(
             let t3 = vela_obs::now_us();
             port.send(&Message::ClockReply { t1, t2, t3 })?;
         }
-        Message::TokenBatch {
-            block,
-            expert,
-            payload,
-        } => {
-            let reply = match payload {
-                Payload::Real { .. } => {
-                    let xs = payload.to_tensor();
-                    let out = shard
-                        .forward_block(
-                            block as usize,
-                            &[ExpertBatch {
-                                expert: expert as usize,
-                                xs,
-                            }],
-                        )
-                        .pop()
-                        .expect("one output per batch");
-                    Payload::from_tensor(&out)
-                }
-                Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                } => Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                },
-            };
-            port.send(&Message::ExpertResult {
-                block,
-                expert,
-                payload: reply,
-            })?;
-        }
-        Message::GradBatch {
-            block,
-            expert,
-            payload,
-        } => {
-            let reply = match payload {
-                Payload::Real { .. } => {
-                    let g = payload.to_tensor();
-                    let gin = shard
-                        .backward_block(
-                            block as usize,
-                            &[ExpertBatch {
-                                expert: expert as usize,
-                                xs: g,
-                            }],
-                        )
-                        .pop()
-                        .expect("one gradient per batch");
-                    Payload::from_tensor(&gin)
-                }
-                Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                } => Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                },
-            };
-            port.send(&Message::GradResult {
-                block,
-                expert,
-                payload: reply,
-            })?;
-        }
-        Message::DispatchGroup {
-            block,
-            pass,
-            chunk,
-            items,
-        } => {
-            let corr = serve_corr(port.index, block, pass, chunk);
+        Message::PackedDispatch(group) => {
+            check_packed(shard, port.index, &group)?;
+            let corr = serve_corr(port.index, group.block, group.pass);
             let _serve = vela_obs::span(SPAN_SERVE);
             // The flow pair bounds the compute; the reply send after the
             // second endpoint is wire time from the master's viewpoint.
-            vela_obs::flow(FlowPhase::Step, corr);
-            let t0 = vela_obs::enabled().then(vela_obs::now_us);
-            let items = serve_group(shard, block as usize, pass, items);
-            if let Some(t0) = t0 {
-                SERVE_US.add(vela_obs::now_us() - t0);
-            }
-            vela_obs::flow(FlowPhase::Step, corr);
-            // Echo the chunk id so the master can slot this reply while
-            // other chunks of the same block-pass are still in flight.
-            port.send(&Message::ResultGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            })?;
-        }
-        Message::PackedDispatch(group) => {
-            let corr = serve_corr(port.index, group.block, group.pass, group.chunk);
-            let _serve = vela_obs::span(SPAN_SERVE);
             vela_obs::flow(FlowPhase::Step, corr);
             let t0 = vela_obs::enabled().then(vela_obs::now_us);
             let reply = serve_packed(shard, group);
@@ -841,59 +751,58 @@ fn finalize_install(
     port.send(&Message::InstallDone { block, expert })
 }
 
-/// Serves one coalesced dispatch: all real payloads go through a *single*
-/// `forward_block`/`backward_block` call (the same per-expert kernels the
-/// per-batch path runs, so results are bit-identical), virtual payloads
-/// are echoed, and replies come back in item order.
-fn serve_group(
+/// Rejects a real-row packed dispatch the shard cannot serve, before any
+/// compute: the block must exist, and every span must name a distinct,
+/// resident expert whose width matches the frame's. Virtual rows are
+/// echoed without touching the shard, so they are not checked.
+fn check_packed(
     shard: &mut LocalExpertStore,
-    block: usize,
-    pass: GroupPass,
-    items: Vec<GroupItem>,
-) -> Vec<GroupItem> {
-    let batches: Vec<ExpertBatch> = items
-        .iter()
-        .filter(|item| matches!(item.payload, Payload::Real { .. }))
-        .map(|item| ExpertBatch {
-            expert: item.expert as usize,
-            xs: item.payload.to_tensor(),
-        })
-        .collect();
-    let outs = if batches.is_empty() {
-        Vec::new()
-    } else {
-        match pass {
-            GroupPass::Forward => shard.forward_block(block, &batches),
-            GroupPass::Backward => shard.backward_block(block, &batches),
-        }
+    index: usize,
+    group: &PackedGroup,
+) -> Result<(), TransportError> {
+    if matches!(group.data, PackedData::Virtual) {
+        return Ok(());
+    }
+    let block = group.block as usize;
+    let bad = |why: String| {
+        Err(TransportError::Protocol(format!(
+            "worker {index}: packed dispatch for block {block}: {why}"
+        )))
     };
-    let mut outs = outs.into_iter();
-    items
-        .into_iter()
-        .map(|item| GroupItem {
-            expert: item.expert,
-            payload: match item.payload {
-                Payload::Real { .. } => {
-                    Payload::from_tensor(&outs.next().expect("one output per real batch"))
-                }
-                virt @ Payload::Virtual { .. } => virt,
-            },
-        })
-        .collect()
+    if block >= shard.blocks() {
+        return bad(format!("block out of range (shard has {})", shard.blocks()));
+    }
+    let mut seen = vec![false; shard.experts_per_block()];
+    for span in &group.spans {
+        let expert = span.expert as usize;
+        if !shard.contains(block, expert) {
+            return bad(format!("expert {expert} is not resident"));
+        }
+        if std::mem::replace(&mut seen[expert], true) {
+            return bad(format!("expert {expert} appears twice"));
+        }
+        let dim = shard.expert_mut(block, expert).dim();
+        if dim != group.width as usize {
+            return bad(format!(
+                "width {} does not match expert {expert}'s width {dim}",
+                group.width
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Serves one column-packed dispatch: the frame's single row region goes
 /// through one `forward_rows`/`backward_rows` call — the same per-expert
-/// kernels and grouping as [`serve_group`], so exact (f32) frames stay
-/// bit-identical to the legacy path — and the reply is again one
-/// contiguous region with no per-item headers. An int8 dispatch is
+/// kernels and grouping as `forward_block`/`backward_block`, so exact
+/// (f32) frames stay bit-identical to local computation — and the reply
+/// is again one contiguous region with no per-item headers. An int8 dispatch is
 /// dequantized once on the way in and the reply re-quantized, keeping the
 /// lossy encoding symmetric in both directions.
 fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply {
     let PackedGroup {
         block,
         pass,
-        chunk,
         width,
         spans,
         data,
@@ -938,7 +847,6 @@ fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply
     PackedReply {
         block,
         pass,
-        chunk,
         width,
         items,
         rows,
@@ -952,7 +860,8 @@ mod tests {
     use crate::transport::star;
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
-    use vela_model::ModelConfig;
+    use vela_model::provider::ExpertBatch;
+    use vela_model::{ExpertProvider, ModelConfig};
     use vela_tensor::rng::DetRng;
     use vela_tensor::Tensor;
 
@@ -965,6 +874,28 @@ mod tests {
         (hub, manager, cfg)
     }
 
+    /// One packed frame carrying `parts` as `(expert, rows)`.
+    fn dispatch(pass: GroupPass, width: usize, parts: &[(u32, &Tensor)]) -> Message {
+        Message::PackedDispatch(PackedGroup::pack(
+            0,
+            pass,
+            width as u32,
+            false,
+            parts.iter().map(|(e, t)| (*e, t.as_slice())),
+        ))
+    }
+
+    /// Unpacks an f32 packed reply into its region.
+    fn region(reply: Message) -> Vec<f32> {
+        match reply {
+            Message::PackedResult(PackedReply {
+                data: PackedData::F32(values),
+                ..
+            }) => values,
+            other => panic!("expected an f32 PackedResult, got {other:?}"),
+        }
+    }
+
     #[test]
     fn serves_forward_and_backward() {
         let (mut hub, manager, cfg) = spawn_one();
@@ -972,39 +903,29 @@ mod tests {
         let xs = Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng);
 
         hub.send(0, &Message::StepBegin { step: 0 }).unwrap();
-        hub.send(
-            0,
-            &Message::TokenBatch {
-                block: 0,
-                expert: 1,
-                payload: Payload::from_tensor(&xs),
-            },
-        )
-        .unwrap();
+        hub.send(0, &dispatch(GroupPass::Forward, cfg.dim, &[(1, &xs)]))
+            .unwrap();
         let (_, reply) = hub.recv().unwrap();
-        let Message::ExpertResult {
-            block,
-            expert,
-            payload,
-        } = reply
-        else {
-            panic!("expected ExpertResult");
+        let Message::PackedResult(ref r) = reply else {
+            panic!("expected PackedResult, got {reply:?}");
         };
-        assert_eq!((block, expert), (0, 1));
-        let out = payload.to_tensor();
-        assert_eq!(out.shape().as_2d(), (3, cfg.dim));
+        assert_eq!(
+            (r.block, r.pass, r.items, r.rows),
+            (0, GroupPass::Forward, 1, 3)
+        );
+        assert_eq!(region(reply).len(), 3 * cfg.dim);
 
-        hub.send(
-            0,
-            &Message::GradBatch {
-                block: 0,
-                expert: 1,
-                payload: Payload::from_tensor(&Tensor::ones((3, cfg.dim))),
-            },
-        )
-        .unwrap();
+        let g = Tensor::ones((3, cfg.dim));
+        hub.send(0, &dispatch(GroupPass::Backward, cfg.dim, &[(1, &g)]))
+            .unwrap();
         let (_, reply) = hub.recv().unwrap();
-        assert!(matches!(reply, Message::GradResult { .. }));
+        assert!(matches!(
+            reply,
+            Message::PackedResult(PackedReply {
+                pass: GroupPass::Backward,
+                ..
+            })
+        ));
 
         hub.send(0, &Message::StepEnd).unwrap();
         let (_, done) = hub.recv().unwrap();
@@ -1018,29 +939,24 @@ mod tests {
     #[test]
     fn virtual_payloads_are_echoed() {
         let (mut hub, manager, _) = spawn_one();
-        hub.send(
-            0,
-            &Message::TokenBatch {
-                block: 3,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 77,
-                    bytes_per_token: 8192,
-                },
-            },
-        )
-        .unwrap();
+        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            3,
+            GroupPass::Forward,
+            8192,
+            [(2u32, 77u32), (5, 3)].into_iter(),
+        ));
+        hub.send(0, &msg).unwrap();
         let (_, reply) = hub.recv().unwrap();
         assert_eq!(
             reply,
-            Message::ExpertResult {
+            Message::PackedResult(PackedReply {
                 block: 3,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 77,
-                    bytes_per_token: 8192,
-                },
-            }
+                pass: GroupPass::Forward,
+                width: 8192,
+                items: 2,
+                rows: 80,
+                data: PackedData::Virtual,
+            })
         );
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
@@ -1057,7 +973,7 @@ mod tests {
 
         let local_out = local
             .forward_block(
-                1,
+                0,
                 &[ExpertBatch {
                     expert: 0,
                     xs: xs.clone(),
@@ -1066,29 +982,18 @@ mod tests {
             .pop()
             .unwrap();
 
-        hub.send(
-            0,
-            &Message::TokenBatch {
-                block: 1,
-                expert: 0,
-                payload: Payload::from_tensor(&xs),
-            },
-        )
-        .unwrap();
+        hub.send(0, &dispatch(GroupPass::Forward, cfg.dim, &[(0, &xs)]))
+            .unwrap();
         let (_, reply) = hub.recv().unwrap();
-        let Message::ExpertResult { payload, .. } = reply else {
-            panic!()
-        };
-        assert_eq!(payload.to_tensor(), local_out, "bit-exact parity");
+        assert_eq!(region(reply), local_out.as_slice(), "bit-exact parity");
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
     }
 
     #[test]
     fn dispatch_group_matches_per_batch_replies_bitwise() {
-        // The same two batches, once as individual TokenBatch frames and
-        // once coalesced: the worker must produce bit-identical outputs
-        // and reply in item order. Virtual items are echoed in place.
+        // Two batches packed into one frame must come back bit-identical
+        // to computing each batch on its own, in dispatch order.
         let cfg = ModelConfig::test_small();
         let mut local = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
         let (mut hub, manager, _) = spawn_one(); // same seed inside
@@ -1096,72 +1001,28 @@ mod tests {
         let xs0 = Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng);
         let xs1 = Tensor::uniform((2, cfg.dim), -1.0, 1.0, &mut rng);
 
-        let expect: Vec<Tensor> = local
-            .forward_block(
-                0,
-                &[
-                    ExpertBatch {
-                        expert: 0,
-                        xs: xs0.clone(),
-                    },
-                    ExpertBatch {
-                        expert: 2,
-                        xs: xs1.clone(),
-                    },
-                ],
-            )
-            .into_iter()
-            .collect();
+        let mut expect = Vec::new();
+        for (expert, xs) in [(2, &xs1), (0, &xs0)] {
+            let out = local
+                .forward_block(
+                    0,
+                    &[ExpertBatch {
+                        expert,
+                        xs: xs.clone(),
+                    }],
+                )
+                .pop()
+                .unwrap();
+            expect.extend_from_slice(out.as_slice());
+        }
 
         hub.send(
             0,
-            &Message::DispatchGroup {
-                block: 0,
-                pass: GroupPass::Forward,
-                chunk: 5,
-                items: vec![
-                    GroupItem {
-                        expert: 0,
-                        payload: Payload::from_tensor(&xs0),
-                    },
-                    GroupItem {
-                        expert: 2,
-                        payload: Payload::from_tensor(&xs1),
-                    },
-                    GroupItem {
-                        expert: 5,
-                        payload: Payload::Virtual {
-                            rows: 4,
-                            bytes_per_token: 64,
-                        },
-                    },
-                ],
-            },
+            &dispatch(GroupPass::Forward, cfg.dim, &[(2, &xs1), (0, &xs0)]),
         )
         .unwrap();
         let (_, reply) = hub.recv().unwrap();
-        let Message::ResultGroup {
-            block,
-            pass,
-            chunk,
-            items,
-        } = reply
-        else {
-            panic!("expected ResultGroup, got {reply:?}");
-        };
-        assert_eq!((block, pass), (0, GroupPass::Forward));
-        assert_eq!(chunk, 5, "the reply must echo the dispatch chunk id");
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[0].expert, 0);
-        assert_eq!(items[0].payload.to_tensor(), expect[0], "bit-exact parity");
-        assert_eq!(items[1].payload.to_tensor(), expect[1], "bit-exact parity");
-        assert_eq!(
-            items[2].payload,
-            Payload::Virtual {
-                rows: 4,
-                bytes_per_token: 64
-            }
-        );
+        assert_eq!(region(reply), expect, "bit-exact parity, dispatch order");
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
     }
@@ -1174,6 +1035,64 @@ mod tests {
         drop(hub);
         let shard = manager.join();
         assert_eq!(shard.present_count(), cfg.blocks * cfg.experts);
+    }
+
+    /// Sends one malformed frame to a worker that hosts every expert but
+    /// `(0, 3)`; the worker must reject it before any compute, exit its
+    /// loop without panicking, and hand back its shard untouched.
+    fn rejects_cleanly(frame: impl FnOnce(&ModelConfig) -> Message) {
+        let cfg = ModelConfig::test_small();
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let (mut hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(2)]);
+        let mut shard = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        drop(shard.take(0, 3));
+        let manager = ExpertManager::spawn(ports.remove(0), shard, AdamWConfig::default());
+        hub.send(0, &frame(&cfg)).unwrap();
+        let shard = manager.join();
+        assert_eq!(shard.present_count(), cfg.blocks * cfg.experts - 1);
+        assert!(
+            hub.recv_timeout(std::time::Duration::from_millis(50))
+                .is_err(),
+            "a rejected frame gets no reply"
+        );
+    }
+
+    #[test]
+    fn absent_expert_is_rejected_before_compute() {
+        rejects_cleanly(|cfg| {
+            let xs = Tensor::ones((2, cfg.dim));
+            dispatch(GroupPass::Forward, cfg.dim, &[(3, &xs)])
+        });
+    }
+
+    #[test]
+    fn duplicate_expert_is_rejected_before_compute() {
+        rejects_cleanly(|cfg| {
+            let xs = Tensor::ones((2, cfg.dim));
+            dispatch(GroupPass::Forward, cfg.dim, &[(1, &xs), (1, &xs)])
+        });
+    }
+
+    #[test]
+    fn wrong_width_is_rejected_before_compute() {
+        rejects_cleanly(|cfg| {
+            let xs = Tensor::ones((2, cfg.dim + 1));
+            dispatch(GroupPass::Backward, cfg.dim + 1, &[(0, &xs)])
+        });
+    }
+
+    #[test]
+    fn out_of_range_block_is_rejected_before_compute() {
+        rejects_cleanly(|cfg| {
+            let xs = Tensor::ones((2, cfg.dim));
+            Message::PackedDispatch(PackedGroup::pack(
+                cfg.blocks as u32,
+                GroupPass::Forward,
+                cfg.dim as u32,
+                false,
+                std::iter::once((0, xs.as_slice())),
+            ))
+        });
     }
 
     #[test]

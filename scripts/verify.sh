@@ -27,7 +27,7 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> exchange parity grid (release): {transport x coalesce x microbatch x depth x wire}, single-owner + replicated arms"
+echo "==> exchange parity (release): closed-form per-batch ledger + {channel, tcp-threads, tcp} bitwise identical, single-owner + degree-1 + replicated arms"
 cargo test --release -q --test transport_parity
 
 echo "==> replication gate (release): degree-1 bitwise identity + loss-for-loss replicated training"
@@ -38,6 +38,10 @@ cargo test --release -q --test migration
 
 echo "==> int8 wire accuracy gate (release): quantized loss curve tracks exact"
 cargo test --release -q --test quant_accuracy
+
+echo "==> end-to-end benchmark: build + self-tests (it reads RealRuntime frame/wire stats and runtime.pipeline.* counters)"
+cargo build --release --offline --manifest-path e2e_bench/Cargo.toml
+cargo test --offline -q --manifest-path e2e_bench/Cargo.toml
 
 echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check"
 trace_out=target/quickstart-trace.jsonl
@@ -76,7 +80,7 @@ if [ "$run_bench" = 1 ]; then
     echo "==> bench smoke: serial regression gate vs committed BENCH_kernels.json"
     cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json
 
-    echo "==> transport bench check: frame coalescing + ledger invariants + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
+    echo "==> transport bench check: one frame per worker per block-pass + ledger invariants + int8 dispatch gate + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
     # Needs target/release/vela_worker for the tcp rows; the tier-1 build
     # above produced it.
     cargo run --release -p vela-bench --bin bench_transport -- --quick --check BENCH_transport.json

@@ -7,7 +7,7 @@
 use vela::locality::theorem::drift_bound_from_logits;
 use vela::placement::Strategy as Plan;
 use vela::prelude::{DetRng, DeviceId, LocalityProfile, PlacementProblem, Tensor, Topology};
-use vela::runtime::message::{Message, Payload};
+use vela::runtime::message::{GroupPass, Message, PackedGroup, Payload};
 
 const CASES: u64 = 32;
 
@@ -75,11 +75,13 @@ fn message_roundtrip() {
         let block = rng.below(64) as u32;
         let expert = rng.below(8) as u32;
         let t = Tensor::uniform((rows, cols), -10.0, 10.0, &mut rng);
-        let msg = Message::TokenBatch {
+        let msg = Message::PackedDispatch(PackedGroup::pack(
             block,
-            expert,
-            payload: Payload::from_tensor(&t),
-        };
+            GroupPass::Forward,
+            cols as u32,
+            false,
+            std::iter::once((expert, t.as_slice())),
+        ));
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg, "seed {seed}");
     }
 }

@@ -37,7 +37,10 @@ fn loss_curve(quant: Quant) -> Vec<f32> {
             ..AdamWConfig::default()
         },
     );
-    rt.set_exchange(ExchangeConfig::packed(quant));
+    rt.set_exchange(ExchangeConfig {
+        quant,
+        ..ExchangeConfig::default()
+    });
 
     let mut data_rng = DetRng::new(2);
     let n = 2 * cfg.seq_len;
