@@ -9,18 +9,28 @@
 //! [`vela_bench::alloc::CountingAllocator`] registered as the global
 //! allocator — the zero-allocation hot-path metric.
 //!
+//! The GEMM microkernel is picked from the host's CPU features
+//! ([`Kernel::host`]); the run prints and records which path ran (`"simd"`)
+//! and the CPU model. The three `matmul_*_256` rows also time the portable
+//! kernel serially in the same run, so the SIMD gain is measured against a
+//! baseline from the same host and moment.
+//!
 //! Usage:
 //!   bench_kernels                 full run, writes BENCH_kernels.json
 //!   bench_kernels --quick         faster sampling, does not write JSON
 //!   bench_kernels --check FILE    compare serial times against a committed
 //!                                 JSON; exits non-zero if any kernel
-//!                                 regressed by more than 2x
+//!                                 regressed by more than 2x, or if a SIMD
+//!                                 path ran and its serial `matmul_*_256`
+//!                                 time is not at least 2x faster than the
+//!                                 portable kernel's from this run
 //!
 //! Run with `cargo run --release -p vela-bench --bin bench_kernels`.
 
 use std::fmt::Write as _;
 use vela::model::{LocalExpertStore, ModelConfig, MoeBlock};
 use vela::prelude::*;
+use vela::tensor::gemm::{self, Kernel, Layout};
 use vela::tensor::parallel::{self, ThreadPool};
 use vela_bench::alloc::{count_allocations, CountingAllocator};
 use vela_bench::microbench::secs_per_iter;
@@ -34,6 +44,9 @@ struct Row {
     parallel_secs: f64,
     /// Heap allocations in one steady-state iteration (serial pool).
     allocs_per_iter: u64,
+    /// Serial time of the same product on [`Kernel::PORTABLE`], for the
+    /// square GEMM rows only.
+    portable_serial_secs: Option<f64>,
 }
 
 impl Row {
@@ -81,6 +94,7 @@ fn row<R>(
         serial_secs,
         parallel_secs,
         allocs_per_iter,
+        portable_serial_secs: None,
     }
 }
 
@@ -95,15 +109,35 @@ fn run_all(sampling: Sampling) -> (usize, Vec<Row>) {
     let mut rng = DetRng::new(1);
     let a = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
     let b = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
-    rows.push(row("matmul_nn_256", &serial, &pool, sampling, || {
-        a.matmul(&b)
-    }));
-    rows.push(row("matmul_tn_256", &serial, &pool, sampling, || {
-        a.matmul_tn(&b)
-    }));
-    rows.push(row("matmul_nt_256", &serial, &pool, sampling, || {
-        a.matmul_nt(&b)
-    }));
+    let square = [
+        ("matmul_nn_256", Layout::Nn),
+        ("matmul_tn_256", Layout::Tn),
+        ("matmul_nt_256", Layout::Nt),
+    ];
+    let mut out = vec![0.0f32; n * n];
+    for (name, layout) in square {
+        let mut r = row(name, &serial, &pool, sampling, || match layout {
+            Layout::Nn => a.matmul(&b),
+            Layout::Tn => a.matmul_tn(&b),
+            Layout::Nt => a.matmul_nt(&b),
+        });
+        let portable = parallel::with_pool(&serial, || {
+            secs_per_iter(sampling.samples, sampling.target_batch_secs, || {
+                gemm::gemm_with(
+                    Kernel::PORTABLE,
+                    layout,
+                    a.as_slice(),
+                    b.as_slice(),
+                    n,
+                    n,
+                    n,
+                    &mut out,
+                );
+            })
+        });
+        r.portable_serial_secs = Some(portable);
+        rows.push(r);
+    }
 
     // Rectangular training-step shapes: LoRA adapters (r=8, dim=64) and
     // the expert FFN projections (dim=64, hidden=128) over 512 tokens.
@@ -175,17 +209,27 @@ fn emit_json(threads: usize, rows: &[Row]) -> String {
         "  \"host_parallelism\": {},",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
+    let _ = writeln!(json, "  \"simd\": \"{}\",", Kernel::host().name());
+    let _ = writeln!(json, "  \"cpu\": \"{}\",", cpu_model().replace('"', "'"));
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"serial_secs\": {:.9}, \"parallel_secs\": {:.9}, \"speedup\": {:.3}, \"allocs_per_iter\": {}}}",
+            "    {{\"name\": \"{}\", \"serial_secs\": {:.9}, \"parallel_secs\": {:.9}, \"speedup\": {:.3}, \"allocs_per_iter\": {}",
             r.name,
             r.serial_secs,
             r.parallel_secs,
             r.speedup(),
             r.allocs_per_iter
         );
+        if let Some(portable) = r.portable_serial_secs {
+            let _ = write!(
+                json,
+                ", \"portable_serial_secs\": {portable:.9}, \"simd_speedup\": {:.3}",
+                portable / r.serial_secs
+            );
+        }
+        json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
@@ -254,6 +298,42 @@ fn regressions(rows: &[Row], reference: &[(String, f64, u64)], factor: f64) -> V
     bad
 }
 
+/// The host CPU's model name (`/proc/cpuinfo` on Linux), or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// When a SIMD kernel ran, each square GEMM row's serial time must beat the
+/// portable kernel's serial time from the same run by at least `factor`.
+/// Returns the rows that did not.
+fn simd_shortfalls(rows: &[Row], factor: f64) -> Vec<String> {
+    if Kernel::host() == Kernel::PORTABLE {
+        return Vec::new();
+    }
+    rows.iter()
+        .filter_map(|r| {
+            let portable = r.portable_serial_secs?;
+            (r.serial_secs * factor > portable).then(|| {
+                format!(
+                    "{}: {} serial {:.3e}s vs portable {:.3e}s (< {factor}x faster)",
+                    r.name,
+                    Kernel::host().name(),
+                    r.serial_secs,
+                    portable
+                )
+            })
+        })
+        .collect()
+}
+
 fn main() {
     let mut quick = false;
     let mut check: Option<String> = None;
@@ -290,8 +370,9 @@ fn main() {
     let (threads, rows) = run_all(sampling);
 
     println!("threads: {threads}");
+    println!("simd: {}  cpu: {}", Kernel::host().name(), cpu_model());
     for r in &rows {
-        println!(
+        print!(
             "{:<24} serial {:>12.3e}s  parallel {:>12.3e}s  speedup {:>6.2}x  allocs/iter {:>6}",
             r.name,
             r.serial_secs,
@@ -299,6 +380,13 @@ fn main() {
             r.speedup(),
             r.allocs_per_iter
         );
+        match r.portable_serial_secs {
+            Some(portable) => println!(
+                "  portable serial {portable:>10.3e}s  simd speedup {:>5.2}x",
+                portable / r.serial_secs
+            ),
+            None => println!(),
+        }
     }
 
     if let Some(path) = check {
@@ -311,9 +399,13 @@ fn main() {
             eprintln!("reference {path} contains no kernel entries");
             std::process::exit(2);
         }
-        let bad = regressions(&rows, &reference, 2.0);
+        let mut bad = regressions(&rows, &reference, 2.0);
+        bad.extend(simd_shortfalls(&rows, 2.0));
         if bad.is_empty() {
-            println!("bench check OK: no kernel regressed >2x vs {path}");
+            println!(
+                "bench check OK: no kernel regressed >2x vs {path}; simd path: {}",
+                Kernel::host().name()
+            );
         } else {
             eprintln!("bench check FAILED vs {path}:");
             for b in &bad {

@@ -8,13 +8,15 @@
 //! repository is reproducible bit-for-bit.
 //!
 //! The design favours clarity and testability first: the mat-mul variants
-//! lower onto one packed, register-blocked microkernel ([`gemm`]), threaded
-//! across a deterministic pool ([`parallel`]) that partitions work over
-//! output rows — so results stay bitwise-identical at any thread count
-//! (`VELA_THREADS` selects the pool size; `1` reproduces the serial kernels
-//! exactly; `VELA_PAR_CUTOFF` tunes the serial-fallback threshold). Tensor
-//! buffers recycle through a thread-local pool ([`workspace`]), keeping
-//! steady-state training steps allocation-free.
+//! lower onto one packed, register-blocked microkernel ([`gemm`]; on x86_64
+//! hosts with AVX, a 256-bit build of it picked at run time, bit-identical
+//! to the portable one), threaded across a deterministic pool
+//! ([`parallel`]) that partitions work over output rows — so results stay
+//! bitwise-identical at any thread count (`VELA_THREADS` selects the pool
+//! size; `1` reproduces the serial kernels exactly; `VELA_PAR_CUTOFF` tunes
+//! the serial-fallback threshold). Tensor buffers recycle through a
+//! thread-local pool ([`workspace`]), keeping steady-state training steps
+//! allocation-free.
 //!
 //! # Example
 //!

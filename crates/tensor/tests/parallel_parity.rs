@@ -6,6 +6,11 @@
 //! are identical — not merely close — at any thread count. These tests
 //! pin that contract against (a) naive reference triple loops and
 //! (b) the kernels themselves run under differently-sized pools.
+//!
+//! These go through `gemm`'s run-time dispatch, so on an x86_64 host with
+//! AVX they exercise the AVX microkernel; elsewhere, the portable one. The
+//! unit tests in `src/gemm.rs` run both kernels directly on any host that
+//! supports them.
 
 use vela_tensor::parallel::{self, with_pool, ThreadPool};
 use vela_tensor::rng::DetRng;

@@ -27,6 +27,10 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> bitwise kernel + distributed parity (release): portable vs AVX GEMM kernels vs naive loops, any pool size; distributed == single-process training"
+cargo test --release -q -p vela-tensor
+cargo test --release -q --test parity
+
 echo "==> exchange parity (release): closed-form per-batch ledger + {channel, tcp-threads, tcp} bitwise identical, single-owner + degree-1 + replicated arms"
 cargo test --release -q --test transport_parity
 
